@@ -273,13 +273,13 @@ func reportSlack(tree *rtree.Tree) {
 		if info.Leaf {
 			return
 		}
-		for _, e := range info.Children {
+		for i, e := range info.Children {
 			child, err := tree.Node(e.Child)
 			if err != nil {
 				continue
 			}
 			total++
-			pm, cm := e.Rect.Margin(), child.MBB.Margin()
+			pm, cm := info.Rect(i).Margin(), child.MBB.Margin()
 			var rel float64
 			if cm > 0 {
 				rel = (pm - cm) / cm

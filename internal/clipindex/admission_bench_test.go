@@ -29,7 +29,7 @@ func BenchmarkClipAdmission(b *testing.B) {
 	tree.Walk(func(info rtree.NodeInfo) {
 		if !info.Leaf {
 			for i := range info.Children {
-				cands = append(cands, cand{id: info.Children[i].Child, mbb: info.Children[i].Rect})
+				cands = append(cands, cand{id: info.Children[i].Child, mbb: info.Rect(i)})
 			}
 		}
 	})

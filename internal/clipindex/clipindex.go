@@ -435,7 +435,7 @@ func (x *Index) reclipNode(info rtree.NodeInfo) {
 func (x *Index) reclipNodeInto(info rtree.NodeInfo, scratch []geom.Rect) []geom.Rect {
 	children := scratch[:0]
 	for i := range info.Children {
-		children = append(children, info.Children[i].Rect)
+		children = append(children, info.Rect(i))
 	}
 	clips := core.Clip(info.MBB, children, x.params)
 	if len(clips) == 0 {
@@ -737,9 +737,9 @@ func (x *Index) Validate() error {
 				return fmt.Errorf("clipindex: node %d clip point %v outside MBB %v", id, c, info.MBB)
 			}
 			region := c.Region(info.MBB)
-			for _, child := range info.Children {
-				if region.OverlapVolume(child.Rect) > 1e-9 {
-					return fmt.Errorf("clipindex: node %d clip point %v clips child %v", id, c, child.Rect)
+			for i := range info.Children {
+				if child := info.Rect(i); region.OverlapVolume(child) > 1e-9 {
+					return fmt.Errorf("clipindex: node %d clip point %v clips child %v", id, c, child)
 				}
 			}
 		}

@@ -57,7 +57,7 @@ func digestRect(rng *rand.Rand, dims int) geom.Rect {
 }
 
 // entryRect returns child i's rectangle as stored in its parent entry.
-func entryRect(info rtree.NodeInfo, i int) geom.Rect { return info.Children[i].Rect }
+func entryRect(info rtree.NodeInfo, i int) geom.Rect { return info.Rect(i) }
 
 // hashStructure folds one tree state into h: every node in Walk order
 // (id, level, leaf flag, entry count, then per entry the coordinate bits and

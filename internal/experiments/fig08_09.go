@@ -113,7 +113,7 @@ func RunFig09(cfg Config) (*Fig09Result, error) {
 			}
 			rects := make([]geom.Rect, len(info.Children))
 			for i := range info.Children {
-				rects[i] = info.Children[i].Rect
+				rects[i] = info.Rect(i)
 			}
 			leaves = append(leaves, rects)
 		})

@@ -386,9 +386,9 @@ func PSTTSides(ls, rs Side, workers int, visit func(Pair)) (Result, error) {
 	var tasks []task
 	for i := range linfo.Children {
 		for k := range rinfo.Children {
-			lc, rc := linfo.Children[i], rinfo.Children[k]
-			if root.admissible(lc.Child, lc.Rect, rc.Child, rc.Rect) {
-				tasks = append(tasks, task{lc.Child, rc.Child})
+			lc, rc := linfo.Children[i].Child, rinfo.Children[k].Child
+			if root.admissible(lc, linfo.Rect(i), rc, rinfo.Rect(k)) {
+				tasks = append(tasks, task{lc, rc})
 			}
 		}
 	}
@@ -482,7 +482,7 @@ func (j *sttJoiner) joinNodes(leftID, rightID rtree.NodeID) {
 	case linfo.Leaf && rinfo.Leaf:
 		for i := range linfo.Children {
 			for k := range rinfo.Children {
-				if linfo.Children[i].Rect.Intersects(rinfo.Children[k].Rect) {
+				if linfo.Rect(i).Intersects(rinfo.Rect(k)) {
 					j.pairs++
 					if j.visit != nil {
 						j.visit(Pair{Left: linfo.Children[i].Object, Right: rinfo.Children[k].Object})
@@ -493,24 +493,24 @@ func (j *sttJoiner) joinNodes(leftID, rightID rtree.NodeID) {
 	case linfo.Leaf:
 		// Descend only the right tree.
 		for k := range rinfo.Children {
-			child := rinfo.Children[k]
-			if j.admissible(linfo.ID, linfo.MBB, child.Child, child.Rect) {
-				j.joinLeafWithNode(linfo, &j.right, child.Child)
+			child := rinfo.Children[k].Child
+			if j.admissible(linfo.ID, linfo.MBB, child, rinfo.Rect(k)) {
+				j.joinLeafWithNode(linfo, &j.right, child)
 			}
 		}
 	case rinfo.Leaf:
 		for i := range linfo.Children {
-			child := linfo.Children[i]
-			if j.admissible(child.Child, child.Rect, rinfo.ID, rinfo.MBB) {
-				j.joinNodeWithLeaf(&j.left, child.Child, rinfo)
+			child := linfo.Children[i].Child
+			if j.admissible(child, linfo.Rect(i), rinfo.ID, rinfo.MBB) {
+				j.joinNodeWithLeaf(&j.left, child, rinfo)
 			}
 		}
 	default:
 		for i := range linfo.Children {
 			for k := range rinfo.Children {
-				lc, rc := linfo.Children[i], rinfo.Children[k]
-				if j.admissible(lc.Child, lc.Rect, rc.Child, rc.Rect) {
-					j.joinNodes(lc.Child, rc.Child)
+				lc, rc := linfo.Children[i].Child, rinfo.Children[k].Child
+				if j.admissible(lc, linfo.Rect(i), rc, rinfo.Rect(k)) {
+					j.joinNodes(lc, rc)
 				}
 			}
 		}
@@ -528,7 +528,7 @@ func (j *sttJoiner) joinLeafWithNode(leaf rtree.NodeInfo, other *Side, otherID r
 	if oinfo.Leaf {
 		for i := range leaf.Children {
 			for k := range oinfo.Children {
-				if leaf.Children[i].Rect.Intersects(oinfo.Children[k].Rect) {
+				if leaf.Rect(i).Intersects(oinfo.Rect(k)) {
 					j.pairs++
 					if j.visit != nil {
 						j.visit(Pair{Left: leaf.Children[i].Object, Right: oinfo.Children[k].Object})
@@ -539,16 +539,16 @@ func (j *sttJoiner) joinLeafWithNode(leaf rtree.NodeInfo, other *Side, otherID r
 		return
 	}
 	for k := range oinfo.Children {
-		child := oinfo.Children[k]
-		if !leaf.MBB.Intersects(child.Rect) {
+		child, r := oinfo.Children[k].Child, oinfo.Rect(k)
+		if !leaf.MBB.Intersects(r) {
 			continue
 		}
-		if clips := other.clips(child.Child); len(clips) > 0 {
-			if !core.Intersects(child.Rect, clips, leaf.MBB, core.SelectorQuery) {
+		if clips := other.clips(child); len(clips) > 0 {
+			if !core.Intersects(r, clips, leaf.MBB, core.SelectorQuery) {
 				continue
 			}
 		}
-		j.joinLeafWithNode(leaf, other, child.Child)
+		j.joinLeafWithNode(leaf, other, child)
 	}
 }
 
@@ -562,7 +562,7 @@ func (j *sttJoiner) joinNodeWithLeaf(other *Side, otherID rtree.NodeID, leaf rtr
 	if oinfo.Leaf {
 		for i := range oinfo.Children {
 			for k := range leaf.Children {
-				if oinfo.Children[i].Rect.Intersects(leaf.Children[k].Rect) {
+				if oinfo.Rect(i).Intersects(leaf.Rect(k)) {
 					j.pairs++
 					if j.visit != nil {
 						j.visit(Pair{Left: oinfo.Children[i].Object, Right: leaf.Children[k].Object})
@@ -573,16 +573,16 @@ func (j *sttJoiner) joinNodeWithLeaf(other *Side, otherID rtree.NodeID, leaf rtr
 		return
 	}
 	for i := range oinfo.Children {
-		child := oinfo.Children[i]
-		if !child.Rect.Intersects(leaf.MBB) {
+		child, r := oinfo.Children[i].Child, oinfo.Rect(i)
+		if !r.Intersects(leaf.MBB) {
 			continue
 		}
-		if clips := other.clips(child.Child); len(clips) > 0 {
-			if !core.Intersects(child.Rect, clips, leaf.MBB, core.SelectorQuery) {
+		if clips := other.clips(child); len(clips) > 0 {
+			if !core.Intersects(r, clips, leaf.MBB, core.SelectorQuery) {
 				continue
 			}
 		}
-		j.joinNodeWithLeaf(other, child.Child, leaf)
+		j.joinNodeWithLeaf(other, child, leaf)
 	}
 }
 

@@ -91,7 +91,7 @@ func nodeOverlapAndDeadSpace(info rtree.NodeInfo, samples int, rng *rand.Rand) (
 		}
 		covering := 0
 		for i := range info.Children {
-			if info.Children[i].Rect.ContainsPoint(p) {
+			if info.Rect(i).ContainsPoint(p) {
 				covering++
 				if covering >= 2 {
 					break
@@ -203,7 +203,7 @@ func MeasureIOOptimality(t *rtree.Tree, queries []geom.Rect) IOOptimality {
 				return
 			}
 			for i := range info.Children {
-				if info.Children[i].Rect.Intersects(q) {
+				if info.Rect(i).Intersects(q) {
 					useful++
 					return
 				}

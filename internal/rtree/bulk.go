@@ -38,22 +38,24 @@ func (t *Tree) BulkLoad(items []Item) (err error) {
 	if len(items) == 0 {
 		return nil
 	}
-	var leafEntries [][]Entry
-	switch t.cfg.Variant {
-	case Hilbert:
-		leafEntries = t.packHilbert(items)
-	default:
-		leafEntries = t.packSTR(items)
-	}
-	t.buildFromLeaves(leafEntries)
+	t.buildFromLeaves(t.pack(items))
 	t.size = len(items)
 	return nil
+}
+
+// pack orders items with the variant's bulk-loading strategy and cuts them
+// into leaf runs.
+func (t *Tree) pack(items []Item) [][]Item {
+	if t.cfg.Variant == Hilbert {
+		return t.packHilbert(items)
+	}
+	return t.packSTR(items)
 }
 
 // packHilbert sorts items by the Hilbert value of their centres and packs
 // them into leaves of capacity M in curve order (Kamel & Faloutsos). Keys
 // are computed once per item, not once per comparison.
-func (t *Tree) packHilbert(items []Item) [][]Entry {
+func (t *Tree) packHilbert(items []Item) [][]Item {
 	sorted := append([]Item(nil), items...)
 	// Rebuild the curve over the actual data bounds: a curve spanning a much
 	// larger configured universe would quantise the data into a handful of
@@ -100,7 +102,7 @@ func compareHilbertOrd(a, b hilbertOrd) int {
 // slab by the next dimension, and recurse. Centre coordinates are computed
 // once up front (row-major, dims per item) rather than allocating a centre
 // point on every comparison.
-func (t *Tree) packSTR(items []Item) [][]Entry {
+func (t *Tree) packSTR(items []Item) [][]Item {
 	sorted := append([]Item(nil), items...)
 	dims := t.cfg.Dims
 	centers := make([]float64, len(sorted)*dims)
@@ -190,32 +192,16 @@ func (t *Tree) strSort(items []Item, centers []float64, scratch *strScratch, dim
 	}
 }
 
-// packRuns chops a sorted item list into runs of at most capacity entries,
+// packRuns chops a sorted item list into runs of at most capacity items,
 // distributing the items evenly across the runs so that every run also
 // respects the minimum fill (the root-only exception is handled by the
-// caller). Each run's entry rectangles are deep copies of the items' (the
-// tree owns its entries), carved out of one flat per-run backing array —
-// entry rectangles are never mutated in place, so sharing the backing is
-// safe and costs two allocations per leaf instead of two per item.
-func packRuns(items []Item, capacity int) [][]Entry {
-	if len(items) == 0 {
-		return nil
-	}
-	dims := items[0].Rect.Dims()
+// caller). The runs are sub-slices of items.
+func packRuns(items []Item, capacity int) [][]Item {
 	sizes := groupSizes(len(items), capacity)
-	out := make([][]Entry, 0, len(sizes))
+	out := make([][]Item, len(sizes))
 	pos := 0
-	for _, sz := range sizes {
-		run := make([]Entry, 0, sz)
-		buf := make([]float64, 2*dims*sz)
-		for k, it := range items[pos : pos+sz] {
-			lo := buf[k*2*dims : k*2*dims+dims : k*2*dims+dims]
-			hi := buf[k*2*dims+dims : (k+1)*2*dims : (k+1)*2*dims]
-			copy(lo, it.Rect.Lo)
-			copy(hi, it.Rect.Hi)
-			run = append(run, Entry{Rect: geom.Rect{Lo: lo, Hi: hi}, Object: it.Object, Child: InvalidNode})
-		}
-		out = append(out, run)
+	for i, sz := range sizes {
+		out[i] = items[pos : pos+sz]
 		pos += sz
 	}
 	return out
@@ -241,40 +227,58 @@ func groupSizes(n, capacity int) []int {
 	return sizes
 }
 
-// buildFromLeaves materialises leaf nodes from entry runs and then packs
+// buildFromLeaves materialises leaf nodes from item runs and then packs
 // parent levels bottom-up until a single root remains.
-func (t *Tree) buildFromLeaves(leafEntries [][]Entry) {
-	level := 0
-	var current []NodeID
-	for _, run := range leafEntries {
-		n := t.newNode(true, 0)
-		n.entries = run
-		t.touch(n)
-		t.updateHilbertLHV(n)
-		t.counter.Write(1)
-		current = append(current, n.id)
-	}
-	for len(current) > 1 {
-		level++
-		var next []NodeID
-		pos := 0
-		for _, sz := range groupSizes(len(current), t.cfg.MaxEntries) {
-			parent := t.newNode(false, level)
-			for _, childID := range current[pos : pos+sz] {
-				child := t.mustNode(childID)
-				child.parent = parent.id
-				parent.entries = append(parent.entries, Entry{Rect: child.mbb(), Child: childID})
-			}
-			pos += sz
-			t.touch(parent)
-			t.updateHilbertLHV(parent)
-			t.counter.Write(1)
-			next = append(next, parent.id)
-		}
-		current = next
+func (t *Tree) buildFromLeaves(runs [][]Item) {
+	current := t.packLeaves(runs)
+	for level := 1; len(current) > 1; level++ {
+		current = t.packLevel(current, level)
 	}
 	t.root = current[0]
 	t.height = t.mustNode(t.root).level + 1
+}
+
+// packLeaves creates one leaf per run, writing the items' coordinates
+// straight into the leaf's rows, and returns the new leaf ids.
+func (t *Tree) packLeaves(runs [][]Item) []NodeID {
+	dims := t.cfg.Dims
+	ids := make([]NodeID, len(runs))
+	for k, run := range runs {
+		n := t.newNode(true, 0)
+		n.entries = make([]Entry, len(run))
+		n.boxes = make([]float64, len(run)*2*dims)
+		for i, it := range run {
+			n.entries[i] = Entry{Object: it.Object, Child: InvalidNode}
+			n.setRect(i, it.Rect)
+		}
+		t.touch(n)
+		t.updateHilbertLHV(n)
+		t.counter.Write(1)
+		ids[k] = n.id
+	}
+	return ids
+}
+
+// packLevel groups the nodes in children, in order, under new parents at
+// the given level and returns the parent ids.
+func (t *Tree) packLevel(children []NodeID, level int) []NodeID {
+	sizes := groupSizes(len(children), t.cfg.MaxEntries)
+	ids := make([]NodeID, len(sizes))
+	pos := 0
+	for k, sz := range sizes {
+		parent := t.newNode(false, level)
+		for _, childID := range children[pos : pos+sz] {
+			child := t.mustNode(childID)
+			child.parent = parent.id
+			parent.appendEntry(Entry{Child: childID}, child.mbb())
+		}
+		pos += sz
+		t.touch(parent)
+		t.updateHilbertLHV(parent)
+		t.counter.Write(1)
+		ids[k] = parent.id
+	}
+	return ids
 }
 
 func itemRects(items []Item) []geom.Rect {

@@ -64,7 +64,7 @@ func (t *Tree) Delete(r geom.Rect, obj ObjectID) (trace *DeleteTrace, err error)
 	trace.Found = true
 	trace.Leaf = leaf.id
 	leaf = t.mutable(leaf)
-	leaf.entries = append(leaf.entries[:idx], leaf.entries[idx+1:]...)
+	leaf.removeEntry(idx, t.cfg.Dims)
 	t.touch(leaf)
 	t.size--
 	t.counter.Write(1)
@@ -100,16 +100,17 @@ func (t *Tree) Delete(r geom.Rect, obj ObjectID) (trace *DeleteTrace, err error)
 
 // findLeaf locates the leaf containing an exact (rect, object) entry.
 func (t *Tree) findLeaf(n *node, r geom.Rect, obj ObjectID) (*node, int) {
+	dims := t.cfg.Dims
 	if n.leaf {
 		for i := range n.entries {
-			if n.entries[i].Object == obj && n.entries[i].Rect.Equal(r) {
+			if n.entries[i].Object == obj && n.rect(i, dims).Equal(r) {
 				return n, i
 			}
 		}
 		return nil, -1
 	}
 	for i := range n.entries {
-		if n.entries[i].Rect.ContainsRect(r) || n.entries[i].Rect.Intersects(r) {
+		if ri := n.rect(i, dims); ri.ContainsRect(r) || ri.Intersects(r) {
 			if leaf, idx := t.findLeaf(t.mustNode(n.entries[i].Child), r, obj); leaf != nil {
 				return leaf, idx
 			}
@@ -122,8 +123,10 @@ func (t *Tree) findLeaf(n *node, r geom.Rect, obj ObjectID) (*node, int) {
 // nodes and collecting their entries for re-insertion, then re-inserts them
 // at their original level (Guttman's CondenseTree).
 func (t *Tree) condense(n *node, trace *DeleteTrace) {
+	dims := t.cfg.Dims
 	type orphan struct {
 		entry Entry
+		rect  geom.Rect
 		level int
 	}
 	var orphans []orphan
@@ -135,18 +138,21 @@ func (t *Tree) condense(n *node, trace *DeleteTrace) {
 			// Dissolve the node: remove it from the parent and queue its
 			// entries for re-insertion.
 			parent = t.mutable(parent)
-			parent.entries = append(parent.entries[:idx], parent.entries[idx+1:]...)
+			parent.removeEntry(idx, dims)
 			t.touch(parent)
-			for _, e := range cur.entries {
-				orphans = append(orphans, orphan{entry: e, level: cur.level})
+			// The orphans' rows are copied out: the node may be writer-owned
+			// and its rows must not be shared with the reinsertions.
+			rows := append([]float64(nil), cur.boxes...)
+			for i, e := range cur.entries {
+				orphans = append(orphans, orphan{entry: e, rect: rowRect(rows, i, dims), level: cur.level})
 			}
 			trace.Removed = append(trace.Removed, cur.id)
 			t.freeNode(cur.id)
 		} else {
 			newMBB := cur.mbb()
-			if !parent.entries[idx].Rect.Equal(newMBB) {
+			if !parent.rect(idx, dims).Equal(newMBB) {
 				parent = t.mutable(parent)
-				parent.entries[idx].Rect = newMBB
+				parent.setRect(idx, newMBB)
 				t.touch(parent)
 				trace.markMBBChanged(cur.id)
 				t.counter.Write(1)
@@ -163,7 +169,7 @@ func (t *Tree) condense(n *node, trace *DeleteTrace) {
 	for _, o := range orphans {
 		itrace := &InsertTrace{Leaf: InvalidNode}
 		t.ovMarks.begin()
-		t.insertAtLevel(o.entry, o.level, itrace, &t.ovMarks, false)
+		t.insertAtLevel(o.entry, o.rect, o.level, itrace, &t.ovMarks, false)
 		trace.Reinserted++
 		mergeTraces(trace, itrace)
 	}

@@ -7,7 +7,6 @@ import (
 	"math"
 	"sort"
 
-	"cbb/internal/geom"
 	"cbb/internal/storage"
 )
 
@@ -59,11 +58,9 @@ func encodeNode(n *node, dims int) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(n.entries)))
 	for i := range n.entries {
 		e := &n.entries[i]
-		for d := 0; d < dims; d++ {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.Rect.Lo[d]))
-		}
-		for d := 0; d < dims; d++ {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.Rect.Hi[d]))
+		// A row is the page's Lo-then-Hi coordinate order already.
+		for _, v := range n.boxes[i*2*dims : (i+1)*2*dims] {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 		}
 		if n.leaf {
 			buf = binary.LittleEndian.AppendUint64(buf, uint64(e.Object))
@@ -90,20 +87,15 @@ func decodeNode(buf []byte, dims int) (*node, error) {
 	}
 	off := nodeHeaderBytes
 	n.entries = make([]Entry, count)
+	n.boxes = make([]float64, count*2*dims)
 	for i := 0; i < count; i++ {
-		lo := make(geom.Point, dims)
-		hi := make(geom.Point, dims)
-		for d := 0; d < dims; d++ {
-			lo[d] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
-			off += 8
-		}
-		for d := 0; d < dims; d++ {
-			hi[d] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
+		for k := i * 2 * dims; k < (i+1)*2*dims; k++ {
+			n.boxes[k] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
 			off += 8
 		}
 		ref := binary.LittleEndian.Uint64(buf[off:])
 		off += 8
-		e := Entry{Rect: geom.Rect{Lo: lo, Hi: hi}, Child: InvalidNode}
+		e := Entry{Child: InvalidNode}
 		if n.leaf {
 			e.Object = ObjectID(ref)
 		} else {
@@ -111,7 +103,8 @@ func decodeNode(buf []byte, dims int) (*node, error) {
 		}
 		n.entries[i] = e
 	}
-	n.syncBoxes(dims)
+	n.syncPlanes(dims)
+	n.encSize = int32(off)
 	return n, nil
 }
 

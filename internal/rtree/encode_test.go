@@ -10,10 +10,8 @@ import (
 
 func TestEncodeDecodeNode(t *testing.T) {
 	n := &node{id: 7, leaf: true, level: 0, parent: InvalidNode}
-	n.entries = []Entry{
-		{Rect: geom.R(1, 2, 3, 4), Object: 42, Child: InvalidNode},
-		{Rect: geom.R(-5, 0, 5, 10), Object: 43, Child: InvalidNode},
-	}
+	n.appendEntry(Entry{Object: 42, Child: InvalidNode}, geom.R(1, 2, 3, 4))
+	n.appendEntry(Entry{Object: 43, Child: InvalidNode}, geom.R(-5, 0, 5, 10))
 	buf := encodeNode(n, 2)
 	back, err := decodeNode(buf, 2)
 	if err != nil {
@@ -23,7 +21,7 @@ func TestEncodeDecodeNode(t *testing.T) {
 		t.Fatalf("decoded node header wrong: %+v", back)
 	}
 	for i := range n.entries {
-		if !back.entries[i].Rect.Equal(n.entries[i].Rect) || back.entries[i].Object != n.entries[i].Object {
+		if !back.rect(i, 2).Equal(n.rect(i, 2)) || back.entries[i].Object != n.entries[i].Object {
 			t.Fatalf("entry %d mismatch: %+v vs %+v", i, back.entries[i], n.entries[i])
 		}
 	}
@@ -31,10 +29,8 @@ func TestEncodeDecodeNode(t *testing.T) {
 
 func TestEncodeDecodeDirectoryNode(t *testing.T) {
 	n := &node{id: 3, leaf: false, level: 2, parent: InvalidNode}
-	n.entries = []Entry{
-		{Rect: geom.R(0, 0, 0, 1, 1, 1), Child: 11},
-		{Rect: geom.R(2, 2, 2, 3, 3, 3), Child: 12},
-	}
+	n.appendEntry(Entry{Child: 11}, geom.R(0, 0, 0, 1, 1, 1))
+	n.appendEntry(Entry{Child: 12}, geom.R(2, 2, 2, 3, 3, 3))
 	buf := encodeNode(n, 3)
 	back, err := decodeNode(buf, 3)
 	if err != nil {
@@ -53,7 +49,7 @@ func TestDecodeNodeErrors(t *testing.T) {
 		t.Error("empty buffer must fail")
 	}
 	n := &node{id: 1, leaf: true}
-	n.entries = []Entry{{Rect: geom.R(0, 0, 1, 1), Object: 1, Child: InvalidNode}}
+	n.appendEntry(Entry{Object: 1, Child: InvalidNode}, geom.R(0, 0, 1, 1))
 	buf := encodeNode(n, 2)
 	if _, err := decodeNode(buf[:len(buf)-4], 2); err == nil {
 		t.Error("truncated buffer must fail")

@@ -168,17 +168,16 @@ func leafDeltaShift(n *node, dims int, mbb geom.Rect) int {
 	for d := 0; d < dims; d++ {
 		prev[d] = math.Float64bits(mbb.Lo[d])
 	}
-	for i := range n.entries {
-		e := &n.entries[i]
+	for off := 0; off < len(n.boxes); off += 2 * dims {
 		for d := 0; d < dims; d++ {
-			lo := math.Float64bits(e.Rect.Lo[d])
+			lo := math.Float64bits(n.boxes[off+d])
 			if delta := lo - prev[d]; delta != 0 {
 				if tz := bits.TrailingZeros64(delta); tz < shift {
 					shift = tz
 				}
 			}
 			prev[d] = lo
-			if delta := math.Float64bits(e.Rect.Hi[d]) - lo; delta != 0 {
+			if delta := math.Float64bits(n.boxes[off+dims+d]) - lo; delta != 0 {
 				if tz := bits.TrailingZeros64(delta); tz < shift {
 					shift = tz
 				}
@@ -201,17 +200,15 @@ func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 // on references the layout cannot carry (a child id beyond uint32), which the
 // arena's plausibility bounds make unreachable for trees this package built.
 func encodeNodeV2(n *node, dims int) ([]byte, error) {
-	// A directory node with an in-memory filter layer is encoded from it
-	// verbatim: the planes ARE qlower/qupper of the exact entry bounds
-	// against the node MBB (syncPlanes), so the output is identical to
-	// recomputing — and for a node faulted in from a v2 page (whose decoded
+	// A directory node is encoded from its filter layer verbatim: the planes
+	// ARE qlower/qupper of the exact entry bounds against the node MBB
+	// (syncPlanes) — and for a node faulted in from a v2 page (whose decoded
 	// rects are conservative supersets), reusing the adopted coordinates
 	// keeps a v2→v2 transcode byte-stable instead of re-quantising the
 	// already-expanded rects one grid cell wider.
-	usePlanes := !n.leaf && n.hasPlanes(dims)
 	var mbb geom.Rect
 	switch {
-	case usePlanes:
+	case !n.leaf:
 		mbb = geom.Rect{Lo: n.qmbb[:dims], Hi: n.qmbb[dims:]}
 	case len(n.entries) == 0:
 		mbb = geom.Rect{Lo: make(geom.Point, dims), Hi: make(geom.Point, dims)}
@@ -249,20 +246,11 @@ func encodeNodeV2(n *node, dims int) ([]byte, error) {
 			if e.Child < 0 || int64(e.Child) > math.MaxUint32 {
 				return nil, fmt.Errorf("rtree: node %d child id %d does not fit the v2 layout", n.id, e.Child)
 			}
-			if usePlanes {
-				for d := 0; d < dims; d++ {
-					buf = binary.LittleEndian.AppendUint16(buf, n.planeAt(dims, d, i, false))
-				}
-				for d := 0; d < dims; d++ {
-					buf = binary.LittleEndian.AppendUint16(buf, n.planeAt(dims, d, i, true))
-				}
-			} else {
-				for d := 0; d < dims; d++ {
-					buf = binary.LittleEndian.AppendUint16(buf, qlower(e.Rect.Lo[d], mbb.Lo[d], mbb.Hi[d]))
-				}
-				for d := 0; d < dims; d++ {
-					buf = binary.LittleEndian.AppendUint16(buf, qupper(e.Rect.Hi[d], mbb.Lo[d], mbb.Hi[d]))
-				}
+			for d := 0; d < dims; d++ {
+				buf = binary.LittleEndian.AppendUint16(buf, n.planeAt(dims, d, i, false))
+			}
+			for d := 0; d < dims; d++ {
+				buf = binary.LittleEndian.AppendUint16(buf, n.planeAt(dims, d, i, true))
 			}
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(e.Child))
 		}
@@ -281,14 +269,15 @@ func encodeNodeV2(n *node, dims int) ([]byte, error) {
 	prevObj := int64(0)
 	for i := range n.entries {
 		e := &n.entries[i]
+		row := n.boxes[i*2*dims : (i+1)*2*dims]
 		for d := 0; d < dims; d++ {
-			lo := math.Float64bits(e.Rect.Lo[d])
+			lo := math.Float64bits(row[d])
 			m := binary.PutUvarint(scratch[:], zigzag(int64(lo-prevLo[d])>>shift))
 			buf = append(buf, scratch[:m]...)
 			prevLo[d] = lo
 		}
 		for d := 0; d < dims; d++ {
-			hi := math.Float64bits(e.Rect.Hi[d])
+			hi := math.Float64bits(row[dims+d])
 			m := binary.PutUvarint(scratch[:], zigzag(int64(hi-prevLo[d])>>shift))
 			buf = append(buf, scratch[:m]...)
 		}
@@ -303,14 +292,10 @@ func encodeNodeV2(n *node, dims int) ([]byte, error) {
 		buf[0] |= flagV2RawLeaf
 		buf[2] = 0 // no delta shift in the raw layout
 		for i := range n.entries {
-			e := &n.entries[i]
-			for d := 0; d < dims; d++ {
-				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.Rect.Lo[d]))
+			for _, v := range n.boxes[i*2*dims : (i+1)*2*dims] {
+				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 			}
-			for d := 0; d < dims; d++ {
-				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.Rect.Hi[d]))
-			}
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(e.Object))
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(n.entries[i].Object))
 		}
 	}
 	return buf, nil
@@ -362,6 +347,7 @@ func decodeNodeV2(buf []byte, dims int) (*node, error) {
 			return nil, fmt.Errorf("rtree: v2 directory page truncated: have %d bytes, want %d", len(buf), want)
 		}
 		n.entries = make([]Entry, count)
+		n.boxes = make([]float64, count*2*dims)
 		// The page's grid coordinates become the node's SoA filter planes
 		// verbatim (and the exactly-stored MBB its quantisation base): the
 		// encoder computed them from the exact child MBBs, so they equal
@@ -374,23 +360,22 @@ func decodeNodeV2(buf []byte, dims int) (*node, error) {
 		copy(n.qmbb[:dims], mbbLo)
 		copy(n.qmbb[dims:], mbbHi)
 		for i := 0; i < count; i++ {
-			lo := make(geom.Point, dims)
-			hi := make(geom.Point, dims)
+			row := n.boxes[i*2*dims : (i+1)*2*dims]
 			for d := 0; d < dims; d++ {
 				g := binary.LittleEndian.Uint16(buf[off:])
 				setPlane(n.qplanes, pw, d, i, false, g)
-				lo[d] = qdecode(mbbLo[d], mbbHi[d], uint32(g))
+				row[d] = qdecode(mbbLo[d], mbbHi[d], uint32(g))
 				off += 2
 			}
 			for d := 0; d < dims; d++ {
 				g := binary.LittleEndian.Uint16(buf[off:])
 				setPlane(n.qplanes, pw, d, i, true, g)
-				hi[d] = qdecode(mbbLo[d], mbbHi[d], uint32(g))
+				row[dims+d] = qdecode(mbbLo[d], mbbHi[d], uint32(g))
 				off += 2
 			}
 			child := binary.LittleEndian.Uint32(buf[off:])
 			off += 4
-			n.entries[i] = Entry{Rect: geom.Rect{Lo: lo, Hi: hi}, Child: NodeID(child)}
+			n.entries[i] = Entry{Child: NodeID(child)}
 		}
 	case flags&flagV2RawLeaf != 0:
 		want := off + count*EntryBytes(dims)
@@ -398,20 +383,15 @@ func decodeNodeV2(buf []byte, dims int) (*node, error) {
 			return nil, fmt.Errorf("rtree: v2 raw leaf page truncated: have %d bytes, want %d", len(buf), want)
 		}
 		n.entries = make([]Entry, count)
+		n.boxes = make([]float64, count*2*dims)
 		for i := 0; i < count; i++ {
-			lo := make(geom.Point, dims)
-			hi := make(geom.Point, dims)
-			for d := 0; d < dims; d++ {
-				lo[d] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
-				off += 8
-			}
-			for d := 0; d < dims; d++ {
-				hi[d] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
+			for k := i * 2 * dims; k < (i+1)*2*dims; k++ {
+				n.boxes[k] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
 				off += 8
 			}
 			obj := binary.LittleEndian.Uint64(buf[off:])
 			off += 8
-			n.entries[i] = Entry{Rect: geom.Rect{Lo: lo, Hi: hi}, Child: InvalidNode, Object: ObjectID(obj)}
+			n.entries[i] = Entry{Child: InvalidNode, Object: ObjectID(obj)}
 		}
 	default:
 		// Delta/varint leaf stream: every entry needs at least one byte per
@@ -420,14 +400,14 @@ func decodeNodeV2(buf []byte, dims int) (*node, error) {
 			return nil, fmt.Errorf("rtree: v2 leaf page truncated: %d entries in %d bytes", count, len(buf)-off)
 		}
 		n.entries = make([]Entry, count)
+		n.boxes = make([]float64, count*2*dims)
 		prevLo := make([]uint64, dims)
 		for d := 0; d < dims; d++ {
 			prevLo[d] = math.Float64bits(mbbLo[d])
 		}
 		prevObj := int64(0)
 		for i := 0; i < count; i++ {
-			lo := make(geom.Point, dims)
-			hi := make(geom.Point, dims)
+			row := n.boxes[i*2*dims : (i+1)*2*dims]
 			for d := 0; d < dims; d++ {
 				u, m := binary.Uvarint(buf[off:])
 				if m <= 0 {
@@ -435,7 +415,7 @@ func decodeNodeV2(buf []byte, dims int) (*node, error) {
 				}
 				off += m
 				prevLo[d] += uint64(unzigzag(u) << shift)
-				lo[d] = math.Float64frombits(prevLo[d])
+				row[d] = math.Float64frombits(prevLo[d])
 			}
 			for d := 0; d < dims; d++ {
 				u, m := binary.Uvarint(buf[off:])
@@ -443,7 +423,7 @@ func decodeNodeV2(buf []byte, dims int) (*node, error) {
 					return nil, errors.New("rtree: v2 leaf stream truncated")
 				}
 				off += m
-				hi[d] = math.Float64frombits(prevLo[d] + uint64(unzigzag(u)<<shift))
+				row[dims+d] = math.Float64frombits(prevLo[d] + uint64(unzigzag(u)<<shift))
 			}
 			u, m := binary.Uvarint(buf[off:])
 			if m <= 0 {
@@ -451,17 +431,14 @@ func decodeNodeV2(buf []byte, dims int) (*node, error) {
 			}
 			off += m
 			prevObj += unzigzag(u)
-			n.entries[i] = Entry{Rect: geom.Rect{Lo: lo, Hi: hi}, Child: InvalidNode, Object: ObjectID(prevObj)}
+			n.entries[i] = Entry{Child: InvalidNode, Object: ObjectID(prevObj)}
 		}
 	}
 	if n.leaf {
 		// Leaf coordinates are lossless, so requantising reproduces exactly
 		// the planes an in-memory tree computes for the same entries.
-		n.syncBoxes(dims)
-	} else {
-		// Directory planes were adopted from the page above; only the float
-		// mirror needs rebuilding from the decoded rects.
-		n.syncMirror(dims)
+		// Directory planes were adopted from the page above.
+		n.syncPlanes(dims)
 	}
 	n.encSize = int32(off)
 	return n, nil
@@ -508,7 +485,7 @@ func TranscodeNodePage(buf []byte, dims int, from, to PageCodec, childMBB func(N
 	if childMBB != nil && !n.leaf {
 		for i := range n.entries {
 			if r, ok := childMBB(n.entries[i].Child); ok {
-				n.entries[i].Rect = r
+				n.setRect(i, r)
 			}
 		}
 	}

@@ -26,8 +26,9 @@ func randLeafV2(rng *rand.Rand, dims, count int, reduced bool) *node {
 			}
 			lo[d], hi[d] = a, b
 		}
-		n.entries = append(n.entries, Entry{Rect: geom.Rect{Lo: lo, Hi: hi}, Object: ObjectID(rng.Int63n(1 << 40)), Child: InvalidNode})
+		n.appendEntry(Entry{Object: ObjectID(rng.Int63n(1 << 40)), Child: InvalidNode}, geom.Rect{Lo: lo, Hi: hi})
 	}
+	n.syncPlanes(dims)
 	return n
 }
 
@@ -49,8 +50,8 @@ func TestEncodeDecodeNodeV2LeafExact(t *testing.T) {
 			}
 			for i := range n.entries {
 				for d := 0; d < dims; d++ {
-					if math.Float64bits(back.entries[i].Rect.Lo[d]) != math.Float64bits(n.entries[i].Rect.Lo[d]) ||
-						math.Float64bits(back.entries[i].Rect.Hi[d]) != math.Float64bits(n.entries[i].Rect.Hi[d]) {
+					if math.Float64bits(back.rect(i, dims).Lo[d]) != math.Float64bits(n.rect(i, dims).Lo[d]) ||
+						math.Float64bits(back.rect(i, dims).Hi[d]) != math.Float64bits(n.rect(i, dims).Hi[d]) {
 						t.Fatalf("dims=%d entry %d not bit-identical", dims, i)
 					}
 				}
@@ -94,11 +95,9 @@ func TestEncodeNodeV2RawFallbackBound(t *testing.T) {
 	n := &node{id: 4, leaf: true, level: 0, parent: InvalidNode}
 	for i := 0; i < 40; i++ {
 		lo := geom.Pt(math.Float64frombits(rng.Uint64()>>12), math.Float64frombits(rng.Uint64()>>12))
-		n.entries = append(n.entries, Entry{
-			Rect:   geom.Rect{Lo: lo, Hi: lo},
-			Object: ObjectID(rng.Uint64() >> 1), Child: InvalidNode,
-		})
+		n.appendEntry(Entry{Object: ObjectID(rng.Uint64() >> 1), Child: InvalidNode}, geom.Rect{Lo: lo, Hi: lo})
 	}
+	n.syncPlanes(2)
 	buf, err := encodeNodeV2(n, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +110,7 @@ func TestEncodeNodeV2RawFallbackBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range n.entries {
-		if !back.entries[i].Rect.Equal(n.entries[i].Rect) || back.entries[i].Object != n.entries[i].Object {
+		if !back.rect(i, 2).Equal(n.rect(i, 2)) || back.entries[i].Object != n.entries[i].Object {
 			t.Fatalf("raw fallback not lossless at entry %d", i)
 		}
 	}
@@ -122,8 +121,9 @@ func TestEncodeDecodeNodeV2DirConservative(t *testing.T) {
 	for _, dims := range []int{1, 2, 3} {
 		n := &node{id: 2, leaf: false, level: 1, parent: InvalidNode}
 		for i := 0; i < 30; i++ {
-			n.entries = append(n.entries, Entry{Rect: randRect(rng, dims, 900, 40), Child: NodeID(i + 10)})
+			n.appendEntry(Entry{Child: NodeID(i + 10)}, randRect(rng, dims, 900, 40))
 		}
+		n.syncPlanes(dims)
 		mbb := n.mbb()
 		buf, err := encodeNodeV2(n, dims)
 		if err != nil {
@@ -133,11 +133,11 @@ func TestEncodeDecodeNodeV2DirConservative(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		union := back.entries[0].Rect
+		union := back.rect(0, dims)
 		for i := range n.entries {
-			got := back.entries[i].Rect
-			if !got.ContainsRect(n.entries[i].Rect) {
-				t.Fatalf("dims=%d entry %d decoded rect %v does not contain original %v", dims, i, got, n.entries[i].Rect)
+			got := back.rect(i, dims)
+			if !got.ContainsRect(n.rect(i, dims)) {
+				t.Fatalf("dims=%d entry %d decoded rect %v does not contain original %v", dims, i, got, n.rect(i, dims))
 			}
 			if !mbb.ContainsRect(got) {
 				t.Fatalf("dims=%d entry %d decoded rect escapes the node MBB", dims, i)
@@ -172,8 +172,9 @@ func TestDecodeNodeV2Errors(t *testing.T) {
 	if _, err := decodeNodeV2(bad, 2); err == nil {
 		t.Error("leaf delta shift > 63 must fail")
 	}
-	dir := &node{id: 1, leaf: false, level: 1, parent: InvalidNode,
-		entries: []Entry{{Rect: geom.R(0, 0, 1, 1), Child: 5}}}
+	dir := &node{id: 1, leaf: false, level: 1, parent: InvalidNode}
+	dir.appendEntry(Entry{Child: 5}, geom.R(0, 0, 1, 1))
+	dir.syncPlanes(2)
 	dbuf, err := encodeNodeV2(dir, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -224,7 +225,7 @@ func TestTranscodeNodePageRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range leaf.entries {
-		if !back.entries[i].Rect.Equal(leaf.entries[i].Rect) || back.entries[i].Object != leaf.entries[i].Object {
+		if !back.rect(i, dims).Equal(leaf.rect(i, dims)) || back.entries[i].Object != leaf.entries[i].Object {
 			t.Fatalf("leaf entry %d changed across v1->v2->v1", i)
 		}
 	}
@@ -234,9 +235,10 @@ func TestTranscodeNodePageRoundTrip(t *testing.T) {
 	children := map[NodeID]geom.Rect{}
 	for i := 0; i < 20; i++ {
 		r := randRect(rng, dims, 500, 25)
-		dir.entries = append(dir.entries, Entry{Rect: r, Child: NodeID(100 + i)})
+		dir.appendEntry(Entry{Child: NodeID(100 + i)}, r)
 		children[NodeID(100+i)] = r
 	}
+	dir.syncPlanes(dims)
 	dv1 := encodeNode(dir, dims)
 	dv2, err := TranscodeNodePage(dv1, dims, CodecV1, CodecV2, nil)
 	if err != nil {
@@ -252,8 +254,8 @@ func TestTranscodeNodePageRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range dir.entries {
-		if !dn.entries[i].Rect.Equal(dir.entries[i].Rect) {
-			t.Fatalf("dir entry %d not restored exactly: %v vs %v", i, dn.entries[i].Rect, dir.entries[i].Rect)
+		if !dn.rect(i, dims).Equal(dir.rect(i, dims)) {
+			t.Fatalf("dir entry %d not restored exactly: %v vs %v", i, dn.rect(i, dims), dir.rect(i, dims))
 		}
 	}
 }

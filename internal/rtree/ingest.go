@@ -146,14 +146,7 @@ func (t *Tree) InsertItems(items []Item) (trace *InsertTrace, err error) {
 		// Empty tree: the whole batch is a bulk load. Every node is new, so
 		// the trace marks them all created (the clipped layer then clips
 		// each once, as it would after BulkLoad).
-		var leafEntries [][]Entry
-		switch t.cfg.Variant {
-		case Hilbert:
-			leafEntries = t.packHilbert(items)
-		default:
-			leafEntries = t.packSTR(items)
-		}
-		t.buildFromLeaves(leafEntries)
+		t.buildFromLeaves(t.pack(items))
 		t.size = len(items)
 		t.Walk(func(info NodeInfo) { trace.markCreated(info.ID) })
 		stats.BulkLoaded = true
@@ -205,15 +198,17 @@ func (t *Tree) rebuildWorthwhile(n int) bool {
 // the free list; file-backed pages are released at the next safe flush, like
 // any freed node). The trace is marked Rebuilt: node ids may have been
 // reused, so consumers must drop per-node bookkeeping and recompute from a
-// fresh walk rather than interpret the change sets incrementally.
+// fresh walk rather than interpret the change sets incrementally. The old
+// items are read as views into the old leaves' rows: freeNode never rewrites
+// a node object, so the views stay valid while the new leaves copy them.
 func (t *Tree) rebuildWith(items []Item, trace *InsertTrace) {
 	all := make([]Item, 0, t.size+len(items))
 	ids := make([]NodeID, 0, 2*t.size/t.cfg.MaxEntries+2)
 	t.Walk(func(info NodeInfo) {
 		ids = append(ids, info.ID)
 		if info.Leaf {
-			for _, e := range info.Children {
-				all = append(all, Item{Object: e.Object, Rect: e.Rect})
+			for i, e := range info.Children {
+				all = append(all, Item{Object: e.Object, Rect: info.Rect(i)})
 			}
 		}
 	})
@@ -223,14 +218,7 @@ func (t *Tree) rebuildWith(items []Item, trace *InsertTrace) {
 	}
 	t.root = InvalidNode
 	t.height = 0
-	var leafEntries [][]Entry
-	switch t.cfg.Variant {
-	case Hilbert:
-		leafEntries = t.packHilbert(all)
-	default:
-		leafEntries = t.packSTR(all)
-	}
-	t.buildFromLeaves(leafEntries)
+	t.buildFromLeaves(t.pack(all))
 	t.size = len(all)
 	trace.Rebuilt = true
 	t.Walk(func(info NodeInfo) { trace.markCreated(info.ID) })
@@ -281,7 +269,7 @@ func (t *Tree) insertOne(it Item, trace *InsertTrace) {
 		root := t.newNode(true, 0)
 		t.root = root.id
 		t.height = 1
-		root.entries = append(root.entries, Entry{Rect: it.Rect.Clone(), Object: it.Object, Child: InvalidNode})
+		root.appendEntry(Entry{Object: it.Object, Child: InvalidNode}, it.Rect)
 		t.touch(root)
 		t.updateHilbertLHV(root)
 		t.size++
@@ -291,7 +279,7 @@ func (t *Tree) insertOne(it Item, trace *InsertTrace) {
 		return
 	}
 	t.ovMarks.begin()
-	t.insertAtLevel(Entry{Rect: it.Rect.Clone(), Object: it.Object, Child: InvalidNode}, 0, trace, &t.ovMarks, false)
+	t.insertAtLevel(Entry{Object: it.Object, Child: InvalidNode}, it.Rect, 0, trace, &t.ovMarks, false)
 	t.size++
 }
 
@@ -330,9 +318,9 @@ func (t *Tree) ingestRuns(ks []ingestKey, trace *InsertTrace, stats *IngestStats
 			n := t.mutable(leaf)
 			before := n.mbb()
 			for placed < len(run) && len(n.entries) < t.cfg.MaxEntries {
-				e := Entry{Rect: run[placed].item.Rect.Clone(), Object: run[placed].item.Object, Child: InvalidNode}
-				n.entries = append(n.entries, e)
-				trace.Placements = append(trace.Placements, Placement{Node: n.id, Rect: e.Rect})
+				it := run[placed].item
+				n.appendEntry(Entry{Object: it.Object, Child: InvalidNode}, it.Rect)
+				trace.Placements = append(trace.Placements, Placement{Node: n.id, Rect: it.Rect.Clone()})
 				t.counter.Write(1)
 				placed++
 			}
@@ -366,48 +354,25 @@ func (t *Tree) graftRun(run []ingestKey, trace *InsertTrace, stats *IngestStats)
 	for idx := range run {
 		items[idx] = run[idx].item
 	}
-	leafEntries := packRuns(items, t.cfg.MaxEntries)
 
 	// maxLevel caps the packed subtree's root so its graft target (one
 	// level above) exists below or at the current root.
 	maxLevel := t.height - 2
-	current := make([]NodeID, 0, len(leafEntries))
-	for _, runE := range leafEntries {
-		n := t.newNode(true, 0)
-		n.entries = runE
-		t.touch(n)
-		t.updateHilbertLHV(n)
-		t.counter.Write(1)
-		trace.markCreated(n.id)
-		current = append(current, n.id)
-	}
-	stats.GraftNodes += len(current)
-	level := 0
-	for len(current) >= t.cfg.MinEntries && level+1 <= maxLevel {
-		level++
-		var next []NodeID
-		pos := 0
-		for _, sz := range groupSizes(len(current), t.cfg.MaxEntries) {
-			parent := t.newNode(false, level)
-			for _, childID := range current[pos : pos+sz] {
-				child := t.mustNode(childID)
-				child.parent = parent.id
-				parent.entries = append(parent.entries, Entry{Rect: child.mbb(), Child: childID})
-			}
-			pos += sz
-			t.touch(parent)
-			t.updateHilbertLHV(parent)
-			t.counter.Write(1)
-			trace.markCreated(parent.id)
-			next = append(next, parent.id)
+	current := t.packLeaves(packRuns(items, t.cfg.MaxEntries))
+	for level := 0; ; level++ {
+		for _, id := range current {
+			trace.markCreated(id)
 		}
-		stats.GraftNodes += len(next)
-		current = next
+		stats.GraftNodes += len(current)
+		if len(current) < t.cfg.MinEntries || level+1 > maxLevel {
+			break
+		}
+		current = t.packLevel(current, level+1)
 	}
 	for _, id := range current {
 		sub := t.mustNode(id)
 		t.ovMarks.begin()
-		t.insertAtLevel(Entry{Rect: sub.mbb(), Child: id}, sub.level+1, trace, &t.ovMarks, false)
+		t.insertAtLevel(Entry{Child: id}, sub.mbb(), sub.level+1, trace, &t.ovMarks, false)
 		stats.GraftSubtrees++
 	}
 	t.size += len(items)

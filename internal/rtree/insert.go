@@ -194,7 +194,7 @@ func (t *Tree) Insert(r geom.Rect, obj ObjectID) (trace *InsertTrace, err error)
 		root := t.newNode(true, 0)
 		t.root = root.id
 		t.height = 1
-		root.entries = append(root.entries, Entry{Rect: r.Clone(), Object: obj, Child: InvalidNode})
+		root.appendEntry(Entry{Object: obj, Child: InvalidNode}, r)
 		t.touch(root)
 		t.updateHilbertLHV(root)
 		t.size++
@@ -206,7 +206,7 @@ func (t *Tree) Insert(r geom.Rect, obj ObjectID) (trace *InsertTrace, err error)
 	}
 	rootBefore := t.mustNode(t.root).mbb()
 	t.ovMarks.begin()
-	t.insertAtLevel(Entry{Rect: r.Clone(), Object: obj, Child: InvalidNode}, 0, trace, &t.ovMarks, true)
+	t.insertAtLevel(Entry{Object: obj, Child: InvalidNode}, r, 0, trace, &t.ovMarks, true)
 	t.size++
 	if rootAfter := t.mustNode(t.root).mbb(); !rootAfter.Equal(rootBefore) {
 		trace.markMBBChanged(t.root)
@@ -214,23 +214,24 @@ func (t *Tree) Insert(r geom.Rect, obj ObjectID) (trace *InsertTrace, err error)
 	return trace, nil
 }
 
-// insertAtLevel places the entry into a node at the given level, handling
-// overflow. recordLeaf marks whether the chosen node should be recorded as
-// the receiving leaf in the trace (true only for the original object
-// insertion, not for re-insertions).
-func (t *Tree) insertAtLevel(e Entry, level int, trace *InsertTrace, marks *levelMarks, recordLeaf bool) {
-	target := t.chooseSubtree(e.Rect, level)
+// insertAtLevel places the entry with rectangle r into a node at the given
+// level, handling overflow. r must not alias rows of a writer-owned node (the
+// rows may move during the insertion). recordLeaf marks whether the chosen
+// node should be recorded as the receiving leaf in the trace (true only for
+// the original object insertion, not for re-insertions).
+func (t *Tree) insertAtLevel(e Entry, r geom.Rect, level int, trace *InsertTrace, marks *levelMarks, recordLeaf bool) {
+	target := t.chooseSubtree(r, level)
 	n := t.mutable(t.mustNode(target))
 	if e.Child != InvalidNode {
 		t.mustNode(e.Child).parent = n.id
 	}
 	before := n.mbb()
-	n.entries = append(n.entries, e)
+	n.appendEntry(e, r)
 	t.touch(n)
 	if recordLeaf && n.leaf {
 		trace.Leaf = n.id
 	}
-	trace.Placements = append(trace.Placements, Placement{Node: n.id, Rect: e.Rect})
+	trace.Placements = append(trace.Placements, Placement{Node: n.id, Rect: r.Clone()})
 	t.counter.Write(1)
 	if len(n.entries) > t.cfg.MaxEntries {
 		t.handleOverflow(n, trace, marks)
@@ -282,8 +283,9 @@ func (t *Tree) chooseMinEnlargementChild(n *node, r geom.Rect) int {
 	best := 0
 	var bestEnl, bestVol float64
 	for i := range n.entries {
-		enl := n.entries[i].Rect.Enlargement(r)
-		vol := n.entries[i].Rect.Volume()
+		ri := n.rect(i, t.cfg.Dims)
+		enl := ri.Enlargement(r)
+		vol := ri.Volume()
 		if i == 0 || enl < bestEnl || (enl == bestEnl && vol < bestVol) {
 			best, bestEnl, bestVol = i, enl, vol
 		}
@@ -299,23 +301,26 @@ func (t *Tree) chooseMinOverlapChild(n *node, r geom.Rect) int {
 		marginInc  float64
 		vol        float64
 	}
+	dims := t.cfg.Dims
 	best := cand{idx: -1}
 	for i := range n.entries {
-		grown := n.entries[i].Rect.Union(r)
+		ri := n.rect(i, dims)
+		grown := ri.Union(r)
 		var ovBefore, ovAfter float64
 		for j := range n.entries {
 			if j == i {
 				continue
 			}
-			ovBefore += n.entries[i].Rect.OverlapVolume(n.entries[j].Rect)
-			ovAfter += grown.OverlapVolume(n.entries[j].Rect)
+			rj := n.rect(j, dims)
+			ovBefore += ri.OverlapVolume(rj)
+			ovAfter += grown.OverlapVolume(rj)
 		}
 		c := cand{
 			idx:        i,
 			overlapInc: ovAfter - ovBefore,
-			volInc:     n.entries[i].Rect.Enlargement(r),
-			marginInc:  n.entries[i].Rect.MarginEnlargement(r),
-			vol:        n.entries[i].Rect.Volume(),
+			volInc:     ri.Enlargement(r),
+			marginInc:  ri.MarginEnlargement(r),
+			vol:        ri.Volume(),
 		}
 		if best.idx < 0 || less(c, best, t.cfg.Variant) {
 			best = c
@@ -386,14 +391,15 @@ func (t *Tree) handleOverflow(n *node, trace *InsertTrace, marks *levelMarks) {
 // are farthest from the node's centre and re-inserts them at the same level
 // (the R*-tree overflow treatment).
 func (t *Tree) forcedReinsert(n *node, trace *InsertTrace, marks *levelMarks) {
+	dims := t.cfg.Dims
 	centre := n.mbb().Center()
 	type distEntry struct {
-		e Entry
+		i int
 		d float64
 	}
 	ds := make([]distEntry, len(n.entries))
-	for i, e := range n.entries {
-		ds[i] = distEntry{e: e, d: e.Rect.Center().DistSq(centre)}
+	for i := range n.entries {
+		ds[i] = distEntry{i: i, d: n.rect(i, dims).Center().DistSq(centre)}
 	}
 	sort.Slice(ds, func(i, j int) bool { return ds[i].d > ds[j].d })
 	p := int(float64(t.cfg.MaxEntries) * t.cfg.ReinsertFraction)
@@ -403,23 +409,29 @@ func (t *Tree) forcedReinsert(n *node, trace *InsertTrace, marks *levelMarks) {
 	if p >= len(ds) {
 		p = len(ds) - 1
 	}
-	removed := make([]Entry, p)
-	for i := 0; i < p; i++ {
-		removed[i] = ds[i].e
+	// The node keeps the rest in distance order; the removed rows move to a
+	// private buffer first, since the reinsertions below may rewrite n.
+	entries, boxes := n.entries, n.boxes
+	removed := make([]float64, 0, p*2*dims)
+	n.entries = make([]Entry, 0, len(ds)-p)
+	n.boxes = make([]float64, 0, (len(ds)-p)*2*dims)
+	for k, de := range ds {
+		row := boxes[de.i*2*dims : (de.i+1)*2*dims]
+		if k < p {
+			removed = append(removed, row...)
+			continue
+		}
+		n.entries = append(n.entries, entries[de.i])
+		n.boxes = append(n.boxes, row...)
 	}
-	kept := make([]Entry, 0, len(ds)-p)
-	for i := p; i < len(ds); i++ {
-		kept = append(kept, ds[i].e)
-	}
-	n.entries = kept
 	t.touch(n)
 	trace.markMBBChanged(n.id)
 	t.updateHilbertLHV(n)
 	t.adjustUpward(n, trace)
-	trace.Reinserted += len(removed)
+	trace.Reinserted += p
 	// Reinsert far entries first (the R*-tree's "reinsert" ordering).
-	for _, e := range removed {
-		t.insertAtLevel(e, n.level, trace, marks, false)
+	for k := 0; k < p; k++ {
+		t.insertAtLevel(entries[ds[k].i], rowRect(removed, k, dims), n.level, trace, marks, false)
 	}
 }
 
@@ -427,10 +439,21 @@ func (t *Tree) forcedReinsert(n *node, trace *InsertTrace, marks *levelMarks) {
 // pushes the new sibling into the parent (growing the tree if the root was
 // split).
 func (t *Tree) splitNode(n *node, trace *InsertTrace, marks *levelMarks) {
-	groupA, groupB := t.splitEntries(n.entries)
+	groupA, groupB := t.splitEntries(n)
 	sibling := t.newNode(n.leaf, n.level)
-	n.entries = groupA
-	sibling.entries = groupB
+	// n is rebuilt on fresh arrays, so the old rows stay readable while both
+	// groups are copied out of them.
+	dims := t.cfg.Dims
+	entries, boxes := n.entries, n.boxes
+	fill := func(dst *node, group []int) {
+		dst.entries = make([]Entry, 0, len(group))
+		dst.boxes = make([]float64, 0, len(group)*2*dims)
+		for _, i := range group {
+			dst.appendEntry(entries[i], rowRect(boxes, i, dims))
+		}
+	}
+	fill(n, groupA)
+	fill(sibling, groupB)
 	t.touch(n)
 	t.touch(sibling)
 	if !n.leaf {
@@ -449,10 +472,8 @@ func (t *Tree) splitNode(n *node, trace *InsertTrace, marks *levelMarks) {
 
 	if n.id == t.root {
 		newRoot := t.newNode(false, n.level+1)
-		newRoot.entries = []Entry{
-			{Rect: n.mbb(), Child: n.id},
-			{Rect: sibling.mbb(), Child: sibling.id},
-		}
+		newRoot.appendEntry(Entry{Child: n.id}, n.mbb())
+		newRoot.appendEntry(Entry{Child: sibling.id}, sibling.mbb())
 		t.touch(newRoot)
 		n.parent = newRoot.id
 		sibling.parent = newRoot.id
@@ -467,9 +488,9 @@ func (t *Tree) splitNode(n *node, trace *InsertTrace, marks *levelMarks) {
 	parent := t.mutable(t.mustNode(n.parent))
 	idx := t.childIndex(parent, n.id)
 	before := parent.mbb()
-	parent.entries[idx].Rect = n.mbb()
+	parent.setRect(idx, n.mbb())
 	sibling.parent = parent.id
-	parent.entries = append(parent.entries, Entry{Rect: sibling.mbb(), Child: sibling.id})
+	parent.appendEntry(Entry{Child: sibling.id}, sibling.mbb())
 	t.touch(parent)
 	t.counter.Write(1)
 	if len(parent.entries) > t.cfg.MaxEntries {
@@ -491,10 +512,10 @@ func (t *Tree) adjustUpward(n *node, trace *InsertTrace) {
 		parent := t.mustNode(cur.parent)
 		idx := t.childIndex(parent, cur.id)
 		newMBB := cur.mbb()
-		changed := !parent.entries[idx].Rect.Equal(newMBB)
+		changed := !parent.rect(idx, t.cfg.Dims).Equal(newMBB)
 		if changed {
 			parent = t.mutable(parent)
-			parent.entries[idx].Rect = newMBB
+			parent.setRect(idx, newMBB)
 			t.touch(parent)
 			trace.markMBBChanged(cur.id)
 			t.counter.Write(1)
@@ -527,7 +548,7 @@ func (t *Tree) updateHilbertLHV(n *node) {
 	var max uint64
 	if n.leaf {
 		for i := range n.entries {
-			if h := t.curve.IndexRect(n.entries[i].Rect); h > max {
+			if h := t.curve.IndexRect(n.rect(i, t.cfg.Dims)); h > max {
 				max = h
 			}
 		}

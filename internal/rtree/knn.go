@@ -129,7 +129,7 @@ func (v *Version) NearestNeighbors(k int, p geom.Point) []Neighbor {
 			// step (sqrt and each endpoint sum) so float rounding can never
 			// shrink it below the true ball.
 			var mask []uint64
-			if worst >= 0 && n.hasPlanes(dims) {
+			if worst >= 0 {
 				r := math.Nextafter(math.Sqrt(worst), math.Inf(1))
 				for dim := 0; dim < dims; dim++ {
 					sc.blo[dim] = math.Nextafter(p[dim]-r, math.Inf(-1))
@@ -161,7 +161,7 @@ func (v *Version) NearestNeighbors(k int, p geom.Point) []Neighbor {
 					continue
 				}
 				if n.leaf {
-					refs = append(refs, knnRef{object: n.entries[i].Object, rect: n.entries[i].Rect})
+					refs = append(refs, knnRef{object: n.entries[i].Object, rect: n.rect(i, dims)})
 					pq = knnPush(pq, knnItem{distSq: d, ref: int64(len(refs)-1)<<1 | 1})
 				} else {
 					pq = knnPush(pq, knnItem{distSq: d, ref: int64(n.entries[i].Child) << 1})
@@ -174,8 +174,8 @@ func (v *Version) NearestNeighbors(k int, p geom.Point) []Neighbor {
 		r := &refs[e.ref>>1]
 		results = insertNeighbor(results, Neighbor{Object: r.object, Rect: r.rect, DistSq: e.distSq}, k)
 	}
-	// Drop rectangle references before pooling so the scratch does not pin
-	// entry rectangles of this tree until its next use.
+	// Drop rectangle views before pooling so the scratch does not pin node
+	// rows of this tree until its next use.
 	for i := range refs {
 		refs[i] = knnRef{}
 	}
@@ -212,9 +212,10 @@ type knnItem struct {
 	ref    int64
 }
 
-// knnRef is the out-of-band payload of an object item. Arena entries are
-// append-only and never move, so the rectangle slices are written once and
-// only read back if the object surfaces into the result set.
+// knnRef is the out-of-band payload of an object item: the object and a view
+// of its row in the (immutable) leaf. Arena entries are append-only and never
+// move, so each is written once and only read back if the object surfaces
+// into the result set.
 type knnRef struct {
 	object ObjectID
 	rect   geom.Rect

@@ -1,16 +1,16 @@
 package rtree
 
 // This file implements the quantised structure-of-arrays (SoA) filter layer
-// of the in-memory node representation: alongside the exact flat float64
-// mirror (node.boxes), every node keeps per-dimension planes of 16-bit grid
+// of the in-memory node representation: alongside the exact float64 rows
+// (node.boxes), every node keeps per-dimension planes of 16-bit grid
 // coordinates relative to its own MBB, quantised conservatively outward with
 // exactly the v2 directory codec's qlower/qupper (lower bounds round down,
 // upper bounds round up on the same grid). The query hot path scans these
-// planes instead of the float mirror: per node, the intersection test becomes
+// planes instead of the float rows: per node, the intersection test becomes
 // one branch-free pass per dimension ANDing a survivor bitmask — and because
 // the planes are packed four 16-bit lanes to a uint64 word, each comparison
 // instruction processes four entries at once (SWAR), an 8x cut in memory
-// traffic and loop iterations against the float64 mirror. Only surviving
+// traffic and loop iterations against the float64 rows. Only surviving
 // entries ever touch the exact rectangles: leaf survivors get one exact
 // verification, directory survivors are recursed into directly (the decoded
 // plane rect is a superset of the stored rect, so recursing off the
@@ -90,8 +90,8 @@ func planeWords(count int) int { return (count + planeLanes - 1) / planeLanes }
 func (n *node) planeBytes() int { return len(n.qplanes)*8 + len(n.qmbb)*8 }
 
 // hasPlanes reports whether the node carries a filter layer consistent with
-// its entry count — true for every node this package builds or decodes; the
-// scan kernels fall back to the exact mirror otherwise (defence in depth).
+// its entry count — true for every node this package builds or decodes,
+// which the scan kernels rely on; Validate checks it.
 func (n *node) hasPlanes(dims int) bool {
 	return len(n.qplanes) == 2*dims*planeWords(len(n.entries)) && len(n.qmbb) == 2*dims
 }
@@ -119,7 +119,7 @@ func setPlane(planes []uint64, w, d, i int, hi bool, g uint16) {
 	planes[base+i/planeLanes] |= uint64(g) << ((i % planeLanes) * PlaneBits)
 }
 
-// syncPlanes rebuilds the quantised SoA planes from the flat float mirror:
+// syncPlanes rebuilds the quantised SoA planes from the float64 rows:
 // qmbb gets the node MBB (Lo extents then Hi extents, like boxes), and each
 // dimension's lo/hi plane gets the entry bounds quantised conservatively
 // outward onto that MBB's 16-bit grid. The plane layout is dimension-major
@@ -127,9 +127,8 @@ func setPlane(planes []uint64, w, d, i int, hi bool, g uint16) {
 // [2dW, (2d+1)W) are dimension d's lower-bound plane and [(2d+1)W, (2d+2)W)
 // its upper-bound plane, entry i in lane i%4 of word i/4 — so the kernel
 // streams contiguous words per dimension. Padding lanes are zero; their mask
-// bits are cleared by quantScan. Must be called after syncMirror; the v2
-// fault-in path skips it for directory nodes and installs the page's stored
-// grid coordinates instead.
+// bits are cleared by quantScan. The v2 fault-in path skips it for directory
+// nodes and installs the page's stored grid coordinates instead.
 func (n *node) syncPlanes(dims int) {
 	count := len(n.entries)
 	if cap(n.qmbb) < 2*dims {

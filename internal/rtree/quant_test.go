@@ -9,13 +9,13 @@ import (
 )
 
 // leafFromRects builds a detached leaf node over the given rects and syncs
-// its mirror and quantised planes, without going through a tree.
+// its quantised planes, without going through a tree.
 func leafFromRects(rects []geom.Rect, dims int) *node {
 	n := &node{leaf: true}
 	for i, r := range rects {
-		n.entries = append(n.entries, Entry{Rect: r, Object: ObjectID(i), Child: InvalidNode})
+		n.appendEntry(Entry{Object: ObjectID(i), Child: InvalidNode}, r)
 	}
-	n.syncBoxes(dims)
+	n.syncPlanes(dims)
 	return n
 }
 
@@ -44,9 +44,9 @@ func checkNeverMisses(t *testing.T, n *node, dims int, q geom.Rect) {
 	t.Helper()
 	got := quantVerdicts(n, dims, q)
 	for i := range n.entries {
-		if n.entries[i].Rect.Intersects(q) && !got[i] {
+		if n.rect(i, dims).Intersects(q) && !got[i] {
 			t.Fatalf("quantised kernel missed entry %d (%v) for query %v (node MBB %v)",
-				i, n.entries[i].Rect, q, n.qmbb)
+				i, n.rect(i, dims), q, n.qmbb)
 		}
 	}
 }
@@ -303,10 +303,11 @@ func TestV2DirPlanesAdoptedVerbatim(t *testing.T) {
 	}
 }
 
-// TestSearchAndKNNMatchPlaneFreeScan strips the filter layer off every node
-// (triggering the defensive exact-scan fallback) and checks that range and
-// nearest-neighbour queries return identical results in identical order —
-// the kernel is a pure accelerator, never a semantic change.
+// TestSearchAndKNNMatchPlaneFreeScan replaces every node's filter layer
+// with planes that admit every entry (so the exact rows alone decide, as a
+// scan without planes would) and checks that range and nearest-neighbour
+// queries return identical results in identical order — the kernel is a
+// pure accelerator, never a semantic change.
 func TestSearchAndKNNMatchPlaneFreeScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	tr, err := New(smallConfig(2, RStar))
@@ -346,9 +347,17 @@ func TestSearchAndKNNMatchPlaneFreeScan(t *testing.T) {
 	}
 	wantHits, wantNNs := run()
 	for _, n := range tr.nodes {
-		if n != nil {
-			n.qplanes = nil
-			n.qmbb = nil
+		if n == nil {
+			continue
+		}
+		w := planeWords(len(n.entries))
+		for i := range n.qplanes {
+			n.qplanes[i] = 0
+		}
+		for d := 0; d < 2; d++ {
+			for i := range n.entries {
+				setPlane(n.qplanes, w, d, i, true, dirQMax)
+			}
 		}
 	}
 	gotHits, gotNNs := run()

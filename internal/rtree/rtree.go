@@ -79,10 +79,14 @@ type NodeID int32
 // InvalidNode is the null node reference.
 const InvalidNode NodeID = -1
 
-// Entry is one slot of a node: a rectangle plus either a child node
-// reference (directory nodes) or an object id (leaf nodes).
+// Entry is one slot of a node: a child node reference (directory nodes) or
+// an object id (leaf nodes). The entry's rectangle is not stored here but in
+// the node's coordinate rows (node.boxes), the only copy of entry geometry;
+// NodeInfo.Rect and the search callbacks hand it out as a view into those
+// rows. A view taken from a published Version aliases an immutable node and
+// stays valid for as long as it is referenced; a view from the writer-side
+// Tree.Node or Tree.Walk is valid until the writer's next mutation.
 type Entry struct {
-	Rect   geom.Rect
 	Child  NodeID
 	Object ObjectID
 }
@@ -101,23 +105,25 @@ type node struct {
 	// refreshed in place on shared node objects.
 	born    uint64
 	entries []Entry
-	// boxes is the flat coordinate mirror of the entry rectangles: 2·dims
-	// contiguous float64 per entry (Lo extents then Hi extents), in entry
-	// order. The query hot path scans it instead of chasing the per-entry
-	// Rect slices, so one node's coordinates occupy one contiguous block.
-	// Every mutation of entries refreshes it through Tree.touch (and the
-	// decode path builds it directly); Tree.Validate checks the mirror.
+	// boxes holds the entry rectangles, one row of 2·dims contiguous float64
+	// per entry (Lo extents then Hi extents) in entry order — the only store
+	// of entry geometry. Rectangles leave the node as capacity-capped views
+	// into these rows (rect), so a view never sees a later append. Views may
+	// escape only from immutable nodes: the writer rewrites the rows of a
+	// node it owns in place, so rows that leave a writer-owned node (split,
+	// forced reinsertion, condense orphans, trace placements, AllItems) are
+	// copied first.
 	boxes []float64
 	// qmbb and qplanes are the quantised SoA filter layer (see quant.go):
 	// qmbb holds the node MBB the planes are quantised against (dims Lo
-	// extents then dims Hi extents, like one boxes record), and qplanes holds
+	// extents then dims Hi extents, like one boxes row), and qplanes holds
 	// the 16-bit grid coordinates of the entry bounds in dimension-major SoA
 	// order (lo plane then hi plane per dimension), packed four lanes per
 	// uint64 word. The scan kernels test entries against these planes first
-	// and touch boxes only for survivors. Maintained by syncBoxes wherever
-	// boxes is; the v2 fault-in path installs the page's stored grid
-	// coordinates instead (bit-identical pruning across stores — see
-	// decodeNodeV2).
+	// and touch boxes only for survivors. Rebuilt from boxes by syncPlanes on
+	// every mutation (Tree.touch); the v2 fault-in path installs the page's
+	// stored grid coordinates instead (bit-identical pruning across stores —
+	// see decodeNodeV2).
 	qmbb    []float64
 	qplanes []uint64
 	// hilbertLHV is the largest Hilbert value of the subtree, maintained
@@ -125,44 +131,48 @@ type node struct {
 	hilbertLHV uint64
 	// encSize is the node's encoded page size in bytes: the exact stored
 	// size for nodes decoded from a snapshot, or the v1 layout size for
-	// in-memory nodes (refreshed by syncBoxes on every mutation). Byte-budget
+	// in-memory nodes (refreshed by touch on every mutation). Byte-budget
 	// buffer pools charge residency by it, so compressed and raw pages share
 	// one budget honestly.
 	encSize int32
 }
 
-// syncBoxes rebuilds the flat coordinate mirror — and the quantised SoA
-// planes derived from it — from the entry rectangles.
-func (n *node) syncBoxes(dims int) {
-	n.syncMirror(dims)
-	n.syncPlanes(dims)
-	n.encSize = int32(nodeHeaderBytes + len(n.entries)*EntryBytes(dims))
+// rowRect returns row i of a coordinate-row slice as a rectangle view. Both
+// extents are capacity-capped, so appending to them copies instead of
+// overwriting the neighbouring coordinates.
+func rowRect(boxes []float64, i, dims int) geom.Rect {
+	o := i * 2 * dims
+	return geom.Rect{Lo: boxes[o : o+dims : o+dims], Hi: boxes[o+dims : o+2*dims : o+2*dims]}
 }
 
-// syncMirror rebuilds only the flat float64 mirror from the entry
-// rectangles. decodeNodeV2's directory branch uses it directly because it
-// installs the page's stored grid coordinates as the planes rather than
-// requantising (see quant.go).
-func (n *node) syncMirror(dims int) {
-	need := len(n.entries) * 2 * dims
-	if cap(n.boxes) < need {
-		n.boxes = make([]float64, need)
-	} else {
-		n.boxes = n.boxes[:need]
-	}
-	off := 0
-	for i := range n.entries {
-		r := &n.entries[i].Rect
-		copy(n.boxes[off:off+dims], r.Lo)
-		copy(n.boxes[off+dims:off+2*dims], r.Hi)
-		off += 2 * dims
-	}
+// rect returns entry i's rectangle as a view into the node's rows.
+func (n *node) rect(i, dims int) geom.Rect { return rowRect(n.boxes, i, dims) }
+
+// setRect overwrites entry i's row with r. The node must be writer-owned.
+func (n *node) setRect(i int, r geom.Rect) {
+	o := i * 2 * len(r.Lo)
+	copy(n.boxes[o:], r.Lo)
+	copy(n.boxes[o+len(r.Lo):], r.Hi)
+}
+
+// appendEntry appends an entry with rectangle r. The node must be
+// writer-owned.
+func (n *node) appendEntry(e Entry, r geom.Rect) {
+	n.entries = append(n.entries, e)
+	n.boxes = append(append(n.boxes, r.Lo...), r.Hi...)
+}
+
+// removeEntry deletes entry i and its row, keeping the order of the rest.
+// The node must be writer-owned.
+func (n *node) removeEntry(i, dims int) {
+	n.entries = append(n.entries[:i], n.entries[i+1:]...)
+	n.boxes = append(n.boxes[:i*2*dims], n.boxes[(i+1)*2*dims:]...)
 }
 
 // mbbIntersects reports whether q intersects the MBB of the node's entries,
-// scanning the flat mirror instead of materialising the MBB (n.mbb()
-// allocates). An entry-less node keeps the legacy vacuous-truth semantics of
-// the zero Rect: everything intersects it.
+// scanning the rows instead of materialising the MBB (n.mbb() allocates).
+// An entry-less node keeps the legacy vacuous-truth semantics of the zero
+// Rect: everything intersects it.
 func (n *node) mbbIntersects(q geom.Rect, dims int) bool {
 	if len(n.entries) == 0 {
 		return true
@@ -218,9 +228,10 @@ func (n *node) mbb() geom.Rect {
 	}
 	// One fresh rectangle extended in place, instead of one Union allocation
 	// per entry: mbb is called for every node a mutation or walk touches.
-	out := n.entries[0].Rect.Clone()
+	dims := len(n.boxes) / (2 * len(n.entries))
+	out := n.rect(0, dims).Clone()
 	for i := 1; i < len(n.entries); i++ {
-		out = out.Extend(n.entries[i].Rect)
+		out = out.Extend(n.rect(i, dims))
 	}
 	return out
 }
@@ -707,8 +718,8 @@ func (t *Tree) autoCommit(err error) {
 }
 
 // cloneForWrite deep-copies a shared node object so the writer can mutate it
-// without disturbing published versions: entries and the flat coordinate
-// mirror get fresh backing arrays; parent, leaf, level, and the Hilbert LHV
+// without disturbing published versions: entries, coordinate rows, and
+// planes get fresh backing arrays; parent, leaf, level, and the Hilbert LHV
 // carry over.
 func (t *Tree) cloneForWrite(n *node) *node {
 	c := &node{
@@ -726,8 +737,7 @@ func (t *Tree) cloneForWrite(n *node) *node {
 // mutable returns a node object the writer may mutate in place: n itself
 // when it was created or already cloned in the current batch, otherwise a
 // clone installed in the writer's arena in its stead. Every mutation of a
-// node's entries (and the derived boxes mirror) must go through here before
-// writing; reads may keep using the shared object.
+// node's entries or rows must go through here before writing; reads may keep using the shared object.
 func (t *Tree) mutable(n *node) *node {
 	if n.born == t.epoch {
 		return n
@@ -847,7 +857,9 @@ func (t *Tree) freeNode(id NodeID) {
 	// of the same shape (matching the pre-versioning behaviour of a freed
 	// slot: present, no entries).
 	old := t.nodes[id]
-	t.nodes[id] = &node{id: id, parent: old.parent, leaf: old.leaf, level: old.level, born: t.epoch}
+	nd := &node{id: id, parent: old.parent, leaf: old.leaf, level: old.level, born: t.epoch}
+	nd.syncPlanes(t.cfg.Dims)
+	t.nodes[id] = nd
 	t.free = append(t.free, id)
 	if t.src != nil {
 		// The node's page (if it has one) is released on a later flush, once
@@ -865,9 +877,10 @@ func (t *Tree) freeNode(id NodeID) {
 	}
 }
 
-// touch records that a node's persistent state (entries, leaf flag, level)
-// changed: the next FlushDirty writes it back (file-backed trees), and the
-// flat coordinate mirror is refreshed (all trees). Every entry mutation site
+// touch records that a node's persistent state (entries, rows, leaf flag,
+// level) changed: the next FlushDirty writes it back (file-backed trees), and
+// the planes and encoded size derived from the rows are refreshed (all
+// trees). Every entry mutation site
 // calls it — the single node-access layer shared by both modes. The node
 // must be writer-owned (created or cloned in the current batch); touching a
 // shared node object would mutate a published version under its readers.
@@ -881,7 +894,8 @@ func (t *Tree) touch(n *node) {
 			t.src.dirty[n.id] = struct{}{}
 		}
 	}
-	n.syncBoxes(t.cfg.Dims)
+	n.syncPlanes(t.cfg.Dims)
+	n.encSize = int32(nodeHeaderBytes + len(n.entries)*EntryBytes(t.cfg.Dims))
 }
 
 // faultFailure carries a node-access failure out of the deep mutation
@@ -1059,7 +1073,11 @@ func (t *Tree) faultErrLocked(err error) {
 }
 
 // NodeInfo is a read-only description of one node, exposed for the clip
-// layer, statistics, and tests.
+// layer, statistics, and tests. Children and the rectangles Rect returns
+// alias the node's storage and must not be modified. From a Version they
+// describe an immutable node and stay valid indefinitely; from the
+// writer-side Tree.Node and Tree.Walk they are valid until the writer's next
+// mutation.
 type NodeInfo struct {
 	ID       NodeID
 	Parent   NodeID
@@ -1072,10 +1090,27 @@ type NodeInfo struct {
 	// PlaneBytes is the resident size of the node's quantised SoA filter
 	// layer (see quant.go); it rides on top of Bytes in pool accounting.
 	PlaneBytes int
+
+	boxes []float64
+	dims  int
 }
 
-// Node returns a snapshot of the node with the given id. The returned
-// Children slice aliases internal storage and must not be modified. On a
+// Rect returns the rectangle of Children[i]: a view into the node's
+// coordinate rows (see Entry).
+func (info NodeInfo) Rect(i int) geom.Rect { return rowRect(info.boxes, i, info.dims) }
+
+// info describes the node; parent is reported as given (Version.Node hides
+// the writer-private parent pointer).
+func (n *node) info(parent NodeID, dims int) NodeInfo {
+	return NodeInfo{
+		ID: n.id, Parent: parent, Leaf: n.leaf, Level: n.level, MBB: n.mbb(),
+		Children: n.entries, Bytes: int(n.encSize), PlaneBytes: n.planeBytes(),
+		boxes: n.boxes, dims: dims,
+	}
+}
+
+// Node returns a snapshot of the node with the given id, valid until the
+// writer's next mutation (see NodeInfo). On a
 // file-backed tree the node is faulted in on demand, and Parent is
 // InvalidNode until Materialize has run (parents are not stored in the
 // Figure 4a page layout).
@@ -1087,10 +1122,7 @@ func (t *Tree) Node(id NodeID) (NodeInfo, error) {
 	if n == nil {
 		return NodeInfo{}, fmt.Errorf("rtree: node %d does not exist", id)
 	}
-	return NodeInfo{
-		ID: n.id, Parent: n.parent, Leaf: n.leaf, Level: n.level,
-		MBB: n.mbb(), Children: n.entries, Bytes: int(n.encSize), PlaneBytes: n.planeBytes(),
-	}, nil
+	return n.info(n.parent, t.cfg.Dims), nil
 }
 
 // Walk visits every live node of the tree top-down, calling fn with a
@@ -1108,7 +1140,7 @@ func (t *Tree) Walk(fn func(NodeInfo)) {
 		if n == nil {
 			continue
 		}
-		fn(NodeInfo{ID: n.id, Parent: n.parent, Leaf: n.leaf, Level: n.level, MBB: n.mbb(), Children: n.entries, Bytes: int(n.encSize), PlaneBytes: n.planeBytes()})
+		fn(n.info(n.parent, t.cfg.Dims))
 		if !n.leaf {
 			for i := range n.entries {
 				stack = append(stack, n.entries[i].Child)
@@ -1186,27 +1218,21 @@ func (t *Tree) Count(q geom.Rect) int {
 	return n
 }
 
-// All returns every object in the tree (id and rectangle), in no particular
-// order, without charging I/O.
-func (t *Tree) All() []Entry {
-	out := make([]Entry, 0, t.size)
-	t.Walk(func(info NodeInfo) {
-		if info.Leaf {
-			out = append(out, info.Children...)
-		}
-	})
-	return out
-}
-
 // AllItems returns every object as bulk-load items, in no particular order,
-// without charging I/O. It is the export hook for shard rebuilds: the
+// without charging I/O. Each leaf's rows are copied, so the items stay valid
+// across later mutations. It is the export hook for shard rebuilds: the
 // sharded engine enumerates a shard with AllItems, partitions the items by
 // Hilbert key, and BulkLoads each half into a fresh tree.
 func (t *Tree) AllItems() []Item {
-	entries := t.All()
-	out := make([]Item, len(entries))
-	for i, e := range entries {
-		out[i] = Item{Object: e.Object, Rect: e.Rect}
-	}
+	out := make([]Item, 0, t.size)
+	t.Walk(func(info NodeInfo) {
+		if !info.Leaf {
+			return
+		}
+		rows := append([]float64(nil), info.boxes...)
+		for i, e := range info.Children {
+			out = append(out, Item{Object: e.Object, Rect: rowRect(rows, i, info.dims)})
+		}
+	})
 	return out
 }

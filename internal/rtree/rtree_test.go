@@ -474,8 +474,8 @@ func TestNodeAndWalk(t *testing.T) {
 	if dir+leaf != seen {
 		t.Errorf("NodeCount %d+%d != walked %d", dir, leaf, seen)
 	}
-	if len(tr.All()) != 100 {
-		t.Errorf("All returned %d entries", len(tr.All()))
+	if len(tr.AllItems()) != 100 {
+		t.Errorf("AllItems returned %d items", len(tr.AllItems()))
 	}
 	if _, err := tr.Node(NodeID(9999)); err == nil {
 		t.Error("Node with bogus id should fail")
@@ -582,7 +582,7 @@ func TestRStarProducesLessOverlapThanQuadratic(t *testing.T) {
 			}
 			for i := 0; i < len(info.Children); i++ {
 				for j := i + 1; j < len(info.Children); j++ {
-					overlap += info.Children[i].Rect.OverlapVolume(info.Children[j].Rect)
+					overlap += info.Rect(i).OverlapVolume(info.Rect(j))
 				}
 			}
 		})
@@ -613,21 +613,21 @@ func TestMaxEntriesForPage(t *testing.T) {
 }
 
 func TestSortEntriesByAxis(t *testing.T) {
-	entries := []Entry{
-		{Rect: geom.R(5, 0, 6, 1)},
-		{Rect: geom.R(1, 0, 9, 1)},
-		{Rect: geom.R(1, 0, 2, 1)},
+	rects := []geom.Rect{
+		geom.R(5, 0, 6, 1),
+		geom.R(1, 0, 9, 1),
+		geom.R(1, 0, 2, 1),
 	}
-	byLo := sortEntriesByAxis(entries, 0, false)
-	if byLo[0].Rect.Lo[0] != 1 || byLo[2].Rect.Lo[0] != 5 {
+	byLo := sortByAxis(rects, 0, false)
+	if rects[byLo[0]].Lo[0] != 1 || rects[byLo[2]].Lo[0] != 5 {
 		t.Error("sort by lower bound wrong")
 	}
 	// Ties on Lo are broken by Hi.
-	if byLo[0].Rect.Hi[0] != 2 {
+	if rects[byLo[0]].Hi[0] != 2 {
 		t.Error("tie-break by upper bound wrong")
 	}
-	byHi := sortEntriesByAxis(entries, 0, true)
-	if byHi[0].Rect.Hi[0] != 1 && byHi[0].Rect.Hi[0] != 2 {
+	byHi := sortByAxis(rects, 0, true)
+	if rects[byHi[0]].Hi[0] != 1 && rects[byHi[0]].Hi[0] != 2 {
 		t.Error("sort by upper bound wrong")
 	}
 }
@@ -669,7 +669,8 @@ func TestGroupSizes(t *testing.T) {
 }
 
 // Property-style test: for every variant, the set of (object, rect) pairs
-// returned by All() is exactly what was inserted.
+// returned by AllItems is exactly what was inserted, and the returned
+// rectangles are copies that survive later mutations of the tree.
 func TestAllReturnsEveryObject(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for _, v := range AllVariants() {
@@ -680,9 +681,22 @@ func TestAllReturnsEveryObject(t *testing.T) {
 			want[ObjectID(i)] = r
 			_, _ = tr.Insert(r, ObjectID(i))
 		}
-		got := tr.All()
+		if err := tr.BeginBatch(); err != nil {
+			t.Fatal(err)
+		}
+		got := tr.AllItems()
+		// Rewrite the writer-owned nodes the items came from.
+		for i := 0; i < 200; i++ {
+			if _, err := tr.Delete(want[ObjectID(i)], ObjectID(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 200; i++ {
+			_, _ = tr.Insert(randRect(rng, 3, 200, 10), ObjectID(1000+i))
+		}
+		tr.CommitBatch()
 		if len(got) != len(want) {
-			t.Fatalf("%v: All returned %d, want %d", v, len(got), len(want))
+			t.Fatalf("%v: AllItems returned %d, want %d", v, len(got), len(want))
 		}
 		ids := make([]int, 0, len(got))
 		for _, e := range got {

@@ -6,22 +6,28 @@ import (
 	"cbb/internal/geom"
 )
 
-// splitEntries distributes an over-full entry set (M+1 entries) into two
-// groups according to the variant's split algorithm. Both groups respect the
-// minimum fill m.
-func (t *Tree) splitEntries(entries []Entry) (groupA, groupB []Entry) {
+// splitEntries distributes an over-full node's entries (M+1 of them) into
+// two groups of entry indexes, each in its final entry order, according to
+// the variant's split algorithm. Both groups respect the minimum fill m. The
+// algorithms read the entry rectangles as views into n's rows and leave the
+// node untouched.
+func (t *Tree) splitEntries(n *node) (groupA, groupB []int) {
+	rects := make([]geom.Rect, len(n.entries))
+	for i := range rects {
+		rects[i] = n.rect(i, t.cfg.Dims)
+	}
 	switch t.cfg.Variant {
 	case RStar:
-		return t.splitRStar(entries, false)
+		return t.splitRStar(rects, false)
 	case RRStar:
-		return t.splitRStar(entries, true)
+		return t.splitRStar(rects, true)
 	case Hilbert:
 		if t.curve != nil {
-			return t.splitHilbert(entries)
+			return t.splitHilbert(rects)
 		}
-		return t.splitQuadratic(entries)
+		return t.splitQuadratic(rects)
 	default:
-		return t.splitQuadratic(entries)
+		return t.splitQuadratic(rects)
 	}
 }
 
@@ -31,17 +37,17 @@ func (t *Tree) splitEntries(entries []Entry) (groupA, groupB []Entry) {
 // entries that would waste the most area if grouped together as seeds, then
 // repeatedly assign the entry with the greatest preference difference to the
 // group whose MBB it enlarges least, while honouring the minimum fill.
-func (t *Tree) splitQuadratic(entries []Entry) ([]Entry, []Entry) {
+func (t *Tree) splitQuadratic(rects []geom.Rect) ([]int, []int) {
 	m := t.cfg.MinEntries
-	seedA, seedB := pickQuadraticSeeds(entries)
-	groupA := []Entry{entries[seedA]}
-	groupB := []Entry{entries[seedB]}
-	mbbA := entries[seedA].Rect.Clone()
-	mbbB := entries[seedB].Rect.Clone()
-	remaining := make([]Entry, 0, len(entries)-2)
-	for i := range entries {
+	seedA, seedB := pickQuadraticSeeds(rects)
+	groupA := []int{seedA}
+	groupB := []int{seedB}
+	mbbA := rects[seedA].Clone()
+	mbbB := rects[seedB].Clone()
+	remaining := make([]int, 0, len(rects)-2)
+	for i := range rects {
 		if i != seedA && i != seedB {
-			remaining = append(remaining, entries[i])
+			remaining = append(remaining, i)
 		}
 	}
 	for len(remaining) > 0 {
@@ -59,8 +65,8 @@ func (t *Tree) splitQuadratic(entries []Entry) ([]Entry, []Entry) {
 		bestIdx, bestDiff := -1, -1.0
 		var bestToA bool
 		for i, e := range remaining {
-			dA := mbbA.Enlargement(e.Rect)
-			dB := mbbB.Enlargement(e.Rect)
+			dA := mbbA.Enlargement(rects[e])
+			dB := mbbB.Enlargement(rects[e])
 			diff := dA - dB
 			if diff < 0 {
 				diff = -diff
@@ -85,24 +91,24 @@ func (t *Tree) splitQuadratic(entries []Entry) ([]Entry, []Entry) {
 		// safe and keeps the O(M) assignment rounds allocation-free.
 		if bestToA {
 			groupA = append(groupA, e)
-			mbbA = mbbA.Extend(e.Rect)
+			mbbA = mbbA.Extend(rects[e])
 		} else {
 			groupB = append(groupB, e)
-			mbbB = mbbB.Extend(e.Rect)
+			mbbB = mbbB.Extend(rects[e])
 		}
 	}
 	return groupA, groupB
 }
 
-// pickQuadraticSeeds returns the indexes of the pair of entries whose
+// pickQuadraticSeeds returns the indexes of the pair of rectangles whose
 // combined MBB wastes the most area.
-func pickQuadraticSeeds(entries []Entry) (int, int) {
+func pickQuadraticSeeds(rects []geom.Rect) (int, int) {
 	seedA, seedB := 0, 1
 	worst := -1.0
-	for i := 0; i < len(entries); i++ {
-		volI := entries[i].Rect.Volume()
-		for j := i + 1; j < len(entries); j++ {
-			waste := entries[i].Rect.UnionVolume(entries[j].Rect) - volI - entries[j].Rect.Volume()
+	for i := 0; i < len(rects); i++ {
+		volI := rects[i].Volume()
+		for j := i + 1; j < len(rects); j++ {
+			waste := rects[i].UnionVolume(rects[j]) - volI - rects[j].Volume()
 			if waste > worst {
 				worst, seedA, seedB = waste, i, j
 			}
@@ -120,21 +126,21 @@ func pickQuadraticSeeds(entries []Entry) (int, int) {
 // when every candidate has zero volume overlap, which discriminates
 // distributions of degenerate rectangles — the perimeter-based goal function
 // of the revised R*-tree.
-func (t *Tree) splitRStar(entries []Entry, revised bool) ([]Entry, []Entry) {
+func (t *Tree) splitRStar(rects []geom.Rect, revised bool) ([]int, []int) {
 	m := t.cfg.MinEntries
 	dims := t.cfg.Dims
-	n := len(entries)
+	n := len(rects)
 
 	// Axis choice: total margin over all candidate distributions. The left
 	// and right MBBs of the distributions are prefix/suffix unions of the
 	// sorted order, so one O(n) scan per order replaces the O(n²) rebuild
 	// of each group's MBB from scratch.
 	suffix := make([]geom.Rect, n) // suffix[i] = MBB of sorted[i:]
-	suffixScan := func(sorted []Entry) {
-		run := sorted[n-1].Rect.Clone()
+	suffixScan := func(sorted []int) {
+		run := rects[sorted[n-1]].Clone()
 		suffix[n-1] = run
 		for i := n - 2; i >= m-1; i-- {
-			run = run.Clone().Extend(sorted[i].Rect)
+			run = run.Clone().Extend(rects[sorted[i]])
 			suffix[i] = run
 		}
 	}
@@ -142,16 +148,16 @@ func (t *Tree) splitRStar(entries []Entry, revised bool) ([]Entry, []Entry) {
 	for d := 0; d < dims; d++ {
 		margin := 0.0
 		for _, byUpper := range []bool{false, true} {
-			sorted := sortEntriesByAxis(entries, d, byUpper)
+			sorted := sortByAxis(rects, d, byUpper)
 			suffixScan(sorted)
-			pre := sorted[0].Rect.Clone()
+			pre := rects[sorted[0]].Clone()
 			for i := 1; i < m; i++ {
-				pre = pre.Extend(sorted[i].Rect)
+				pre = pre.Extend(rects[sorted[i]])
 			}
 			for k := m; k <= n-m; k++ {
 				margin += pre.Margin() + suffix[k].Margin()
 				if k < n-m {
-					pre = pre.Extend(sorted[k].Rect)
+					pre = pre.Extend(rects[sorted[k]])
 				}
 			}
 		}
@@ -173,11 +179,11 @@ func (t *Tree) splitRStar(entries []Entry, revised bool) ([]Entry, []Entry) {
 	}
 	cands := make([]candidate, 0, 2*(n-2*m+1))
 	for _, byUpper := range []bool{false, true} {
-		sorted := sortEntriesByAxis(entries, bestAxis, byUpper)
+		sorted := sortByAxis(rects, bestAxis, byUpper)
 		suffixScan(sorted)
-		pre := sorted[0].Rect.Clone()
+		pre := rects[sorted[0]].Clone()
 		for i := 1; i < m; i++ {
-			pre = pre.Extend(sorted[i].Rect)
+			pre = pre.Extend(rects[sorted[i]])
 		}
 		for k := m; k <= n-m; k++ {
 			ovVol, ovMargin, _ := pre.IntersectionMeasures(suffix[k])
@@ -187,7 +193,7 @@ func (t *Tree) splitRStar(entries []Entry, revised bool) ([]Entry, []Entry) {
 				totalVol: pre.Volume() + suffix[k].Volume(),
 			})
 			if k < n-m {
-				pre = pre.Extend(sorted[k].Rect)
+				pre = pre.Extend(rects[sorted[k]])
 			}
 		}
 	}
@@ -215,34 +221,31 @@ func (t *Tree) splitRStar(entries []Entry, revised bool) ([]Entry, []Entry) {
 			best = i
 		}
 	}
-	sorted := sortEntriesByAxis(entries, bestAxis, cands[best].byUpper)
-	left := append([]Entry(nil), sorted[:cands[best].k]...)
-	right := append([]Entry(nil), sorted[cands[best].k:]...)
-	return left, right
+	sorted := sortByAxis(rects, bestAxis, cands[best].byUpper)
+	k := cands[best].k
+	return sorted[:k:k], sorted[k:]
 }
 
-func sortEntriesByAxis(entries []Entry, axis int, byUpper bool) []Entry {
-	out := append([]Entry(nil), entries...)
-	sort.SliceStable(out, func(i, j int) bool {
-		if byUpper {
-			if out[i].Rect.Hi[axis] != out[j].Rect.Hi[axis] {
-				return out[i].Rect.Hi[axis] < out[j].Rect.Hi[axis]
-			}
-			return out[i].Rect.Lo[axis] < out[j].Rect.Lo[axis]
-		}
-		if out[i].Rect.Lo[axis] != out[j].Rect.Lo[axis] {
-			return out[i].Rect.Lo[axis] < out[j].Rect.Lo[axis]
-		}
-		return out[i].Rect.Hi[axis] < out[j].Rect.Hi[axis]
-	})
-	return out
-}
-
-func entryRects(entries []Entry) []geom.Rect {
-	out := make([]geom.Rect, len(entries))
-	for i := range entries {
-		out[i] = entries[i].Rect
+// sortByAxis returns the indexes of rects stably sorted by one axis: by
+// lower bound then upper bound, or (byUpper) by upper bound then lower bound.
+func sortByAxis(rects []geom.Rect, axis int, byUpper bool) []int {
+	out := make([]int, len(rects))
+	for i := range out {
+		out[i] = i
 	}
+	sort.SliceStable(out, func(i, j int) bool {
+		a, b := rects[out[i]], rects[out[j]]
+		if byUpper {
+			if a.Hi[axis] != b.Hi[axis] {
+				return a.Hi[axis] < b.Hi[axis]
+			}
+			return a.Lo[axis] < b.Lo[axis]
+		}
+		if a.Lo[axis] != b.Lo[axis] {
+			return a.Lo[axis] < b.Lo[axis]
+		}
+		return a.Hi[axis] < b.Hi[axis]
+	})
 	return out
 }
 
@@ -253,10 +256,13 @@ func entryRects(entries []Entry) []geom.Rect {
 // original HR-tree defers splits with 2-to-3 redistribution; plain halving
 // is the standard simplification and only affects occupancy, not
 // correctness.)
-func (t *Tree) splitHilbert(entries []Entry) ([]Entry, []Entry) {
-	sorted := append([]Entry(nil), entries...)
+func (t *Tree) splitHilbert(rects []geom.Rect) ([]int, []int) {
+	sorted := make([]int, len(rects))
+	for i := range sorted {
+		sorted[i] = i
+	}
 	sort.SliceStable(sorted, func(i, j int) bool {
-		return t.curve.IndexRect(sorted[i].Rect) < t.curve.IndexRect(sorted[j].Rect)
+		return t.curve.IndexRect(rects[sorted[i]]) < t.curve.IndexRect(rects[sorted[j]])
 	})
 	half := len(sorted) / 2
 	if half < t.cfg.MinEntries {
@@ -265,7 +271,5 @@ func (t *Tree) splitHilbert(entries []Entry) ([]Entry, []Entry) {
 	if len(sorted)-half < t.cfg.MinEntries {
 		half = len(sorted) - t.cfg.MinEntries
 	}
-	left := append([]Entry(nil), sorted[:half]...)
-	right := append([]Entry(nil), sorted[half:]...)
-	return left, right
+	return sorted[:half:half], sorted[half:]
 }

@@ -48,8 +48,8 @@ func (t *Tree) Validate() error {
 		if len(n.entries) > t.cfg.MaxEntries {
 			return fmt.Errorf("rtree: node %d has %d entries (max %d)", id, len(n.entries), t.cfg.MaxEntries)
 		}
-		if err := t.checkBoxes(n); err != nil {
-			return err
+		if len(n.boxes) != len(n.entries)*2*t.cfg.Dims {
+			return fmt.Errorf("rtree: node %d has %d coordinates for %d entries", id, len(n.boxes), len(n.entries))
 		}
 		if err := t.checkPlanes(n); err != nil {
 			return err
@@ -70,6 +70,7 @@ func (t *Tree) Validate() error {
 			if child == nil {
 				return fmt.Errorf("rtree: node %d references missing child %d", id, e.Child)
 			}
+			r := n.rect(i, t.cfg.Dims)
 			if child.parent != id {
 				return fmt.Errorf("rtree: child %d has parent %d, expected %d", child.id, child.parent, id)
 			}
@@ -81,11 +82,11 @@ func (t *Tree) Validate() error {
 				// Trees decoded from compressed (v2) pages carry directory
 				// rects rounded outward by quantisation: a rect must contain
 				// its child's MBB, but need not equal it.
-				if !e.Rect.ContainsRect(childMBB) {
-					return fmt.Errorf("rtree: entry rect %v for child %d does not contain child MBB %v", e.Rect, child.id, childMBB)
+				if !r.ContainsRect(childMBB) {
+					return fmt.Errorf("rtree: entry rect %v for child %d does not contain child MBB %v", r, child.id, childMBB)
 				}
-			} else if !e.Rect.Equal(childMBB) {
-				return fmt.Errorf("rtree: entry rect %v for child %d does not equal child MBB %v", e.Rect, child.id, childMBB)
+			} else if !r.Equal(childMBB) {
+				return fmt.Errorf("rtree: entry rect %v for child %d does not equal child MBB %v", r, child.id, childMBB)
 			}
 			if err := check(e.Child); err != nil {
 				return err
@@ -102,35 +103,14 @@ func (t *Tree) Validate() error {
 	return nil
 }
 
-// checkBoxes verifies that the node's flat coordinate mirror matches its
-// entry rectangles exactly — the invariant the query hot path relies on.
-func (t *Tree) checkBoxes(n *node) error {
-	dims := t.cfg.Dims
-	if len(n.boxes) != len(n.entries)*2*dims {
-		return fmt.Errorf("rtree: node %d has %d mirror coordinates for %d entries (want %d)",
-			n.id, len(n.boxes), len(n.entries), len(n.entries)*2*dims)
-	}
-	off := 0
-	for i := range n.entries {
-		r := &n.entries[i].Rect
-		for d := 0; d < dims; d++ {
-			if n.boxes[off+d] != r.Lo[d] || n.boxes[off+dims+d] != r.Hi[d] {
-				return fmt.Errorf("rtree: node %d entry %d mirror out of sync with rect %v", n.id, i, *r)
-			}
-		}
-		off += 2 * dims
-	}
-	return nil
-}
-
 // checkPlanes verifies the node's quantised SoA filter layer against the
-// exact mirror: the planes must be conservative (each grid bound decodes to
+// exact rows: the planes must be conservative (each grid bound decodes to
 // at most the exact lower / at least the exact upper bound — the property
 // the scan kernels rely on to never miss a hit), and, wherever the planes
 // were computed from exact rects (every node except directories adopted
 // verbatim from a compressed v2 page), they must be exactly the
-// qlower/qupper quantisation of the mirror against a qmbb that is the
-// mirror's true MBB.
+// qlower/qupper quantisation of the rows against a qmbb that is the rows'
+// true MBB.
 func (t *Tree) checkPlanes(n *node) error {
 	dims := t.cfg.Dims
 	count := len(n.entries)
@@ -142,7 +122,7 @@ func (t *Tree) checkPlanes(n *node) error {
 		return nil
 	}
 	// Directory nodes of a v2-loaded tree carry the page's stored grid
-	// coordinates and MBB; their decoded-rect mirror sits outward of both, so
+	// coordinates and MBB; their decoded rows sit outward of both, so
 	// only the conservativeness half applies to them.
 	adopted := t.conservative && !n.leaf
 	for d := 0; d < dims; d++ {
@@ -159,7 +139,7 @@ func (t *Tree) checkPlanes(n *node) error {
 				}
 			}
 			if lo != minLo || hi != maxHi {
-				return fmt.Errorf("rtree: node %d plane MBB [%v, %v] in dim %d does not match mirror MBB [%v, %v]",
+				return fmt.Errorf("rtree: node %d plane MBB [%v, %v] in dim %d does not match row MBB [%v, %v]",
 					n.id, lo, hi, d, minLo, maxHi)
 			}
 		}

@@ -125,7 +125,7 @@ func (v *Version) RootMBBIntersects(q geom.Rect) bool {
 }
 
 // Node returns a read-only snapshot of the node with the given id at this
-// version. The returned Children slice aliases the version's immutable
+// version. Its Children and Rect views alias the version's immutable
 // storage and must not be modified. Parent is always InvalidNode: parent
 // pointers are writer-private metadata that the single writer refreshes in
 // place on shared node objects, so a version must not read them (the join
@@ -138,10 +138,7 @@ func (v *Version) Node(id NodeID) (NodeInfo, error) {
 	if n == nil {
 		return NodeInfo{}, fmt.Errorf("rtree: node %d does not exist", id)
 	}
-	return NodeInfo{
-		ID: n.id, Parent: InvalidNode, Leaf: n.leaf, Level: n.level,
-		MBB: n.mbb(), Children: n.entries, Bytes: int(n.encSize), PlaneBytes: n.planeBytes(),
-	}, nil
+	return n.info(InvalidNode, v.tree.cfg.Dims), nil
 }
 
 // Search finds every object intersecting q at this version; traversal stops
@@ -205,7 +202,7 @@ var searchScratchPool = sync.Pool{
 // over an explicit pooled stack, against one immutable version. Per node the
 // quantised SoA planes are scanned first (quantScan, branch-free, ANDing a
 // survivor bitmask across dimensions); only survivors touch the exact
-// float64 mirror — leaf survivors get one exact verification before visit,
+// float64 rows — leaf survivors get one exact verification before visit,
 // directory survivors are recursed into directly off the conservative grid
 // verdict (admissible by the same containment argument as the v2 on-disk
 // format; see quant.go). Survivors are walked in ascending entry order
@@ -239,15 +236,6 @@ func (v *Version) searchIter(q geom.Rect, filter func(NodeID, geom.Rect) bool, a
 		if n == nil {
 			continue // unreadable page on a file-backed tree; recorded in Err
 		}
-		if !n.hasPlanes(dims) {
-			// Defensive exact path for nodes without a filter layer (freed-slot
-			// placeholders; unreachable from a live root in practice).
-			if !v.scanExact(n, q, filter, adm, c, visit, sc, &stack) {
-				searchScratchPool.Put(sc)
-				return
-			}
-			continue
-		}
 		count := len(n.entries)
 		quantiseQuery(n.qmbb, dims, &sc.qlo, &sc.qhi, &sc.qg)
 		mask := sc.maskFor(count)
@@ -261,7 +249,7 @@ func (v *Version) searchIter(q geom.Rect, filter func(NodeID, geom.Rect) bool, a
 					i := w<<6 + bits.TrailingZeros64(m)
 					m &= m - 1
 					if boxHits(boxes, i*2*dims, dims, &sc.qlo, &sc.qhi) {
-						if !visit(n.entries[i].Object, n.entries[i].Rect) {
+						if !visit(n.entries[i].Object, n.rect(i, dims)) {
 							sc.stack = stack[:0]
 							searchScratchPool.Put(sc)
 							return
@@ -278,12 +266,12 @@ func (v *Version) searchIter(q geom.Rect, filter func(NodeID, geom.Rect) bool, a
 			for m != 0 {
 				i := w<<6 + bits.TrailingZeros64(m)
 				m &= m - 1
-				e := &n.entries[i]
+				child := n.entries[i].Child
 				switch {
-				case filter != nil && !filter(e.Child, e.Rect):
-				case adm != nil && !adm.AdmitChild(e.Child, e.Rect, q):
+				case filter != nil && !filter(child, n.rect(i, dims)):
+				case adm != nil && !adm.AdmitChild(child, n.rect(i, dims), q):
 				default:
-					stack = append(stack, e.Child)
+					stack = append(stack, child)
 				}
 			}
 		}
@@ -295,49 +283,6 @@ func (v *Version) searchIter(q geom.Rect, filter func(NodeID, geom.Rect) bool, a
 	}
 	sc.stack = stack[:0]
 	searchScratchPool.Put(sc)
-}
-
-// scanExact is the pre-quantisation scan over one node's float64 mirror,
-// kept as the fallback for nodes without planes. Returns false when visit
-// aborted the search (the caller returns immediately; sc.stack has been
-// reset for the pool).
-func (v *Version) scanExact(n *node, q geom.Rect, filter func(NodeID, geom.Rect) bool, adm Admitter, c *storage.Counter, visit func(ObjectID, geom.Rect) bool, sc *searchScratch, stack *[]NodeID) bool {
-	t := v.tree
-	dims := t.cfg.Dims
-	boxes := n.boxes
-	if n.leaf {
-		t.chargeReadNode(n, true, c)
-		off := 0
-		for i := range n.entries {
-			if boxHits(boxes, off, dims, &sc.qlo, &sc.qhi) {
-				if !visit(n.entries[i].Object, n.entries[i].Rect) {
-					sc.stack = (*stack)[:0]
-					return false
-				}
-			}
-			off += 2 * dims
-		}
-		return true
-	}
-	t.chargeReadNode(n, false, c)
-	base := len(*stack)
-	off := 0
-	for i := range n.entries {
-		if boxHits(boxes, off, dims, &sc.qlo, &sc.qhi) {
-			e := &n.entries[i]
-			switch {
-			case filter != nil && !filter(e.Child, e.Rect):
-			case adm != nil && !adm.AdmitChild(e.Child, e.Rect, q):
-			default:
-				*stack = append(*stack, e.Child)
-			}
-		}
-		off += 2 * dims
-	}
-	for i, j := base, len(*stack)-1; i < j; i, j = i+1, j-1 {
-		(*stack)[i], (*stack)[j] = (*stack)[j], (*stack)[i]
-	}
-	return true
 }
 
 // boxHits reports whether the entry box starting at boxes[off] (dims Lo
