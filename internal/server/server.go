@@ -167,9 +167,9 @@ func New(cfg Config) (*Server, error) {
 
 	// Engine-side statistics, computed at scrape time.
 	s.reg.GaugeFunc("cbb_objects", "indexed objects", func() float64 { return float64(s.eng.Len()) })
-	s.reg.GaugeFunc("cbb_io_leaf_reads_total", "cumulative simulated leaf-node reads", func() float64 { return float64(s.eng.IOStats().LeafReads) })
-	s.reg.GaugeFunc("cbb_io_dir_reads_total", "cumulative simulated directory-node reads", func() float64 { return float64(s.eng.IOStats().DirReads) })
-	s.reg.GaugeFunc("cbb_io_writes_total", "cumulative simulated node writes", func() float64 { return float64(s.eng.IOStats().Writes) })
+	s.reg.CounterFunc("cbb_io_leaf_reads_total", "cumulative simulated leaf-node reads", func() float64 { return float64(s.eng.IOStats().LeafReads) })
+	s.reg.CounterFunc("cbb_io_dir_reads_total", "cumulative simulated directory-node reads", func() float64 { return float64(s.eng.IOStats().DirReads) })
+	s.reg.CounterFunc("cbb_io_writes_total", "cumulative simulated node writes", func() float64 { return float64(s.eng.IOStats().Writes) })
 	s.reg.GaugeFunc("cbb_buffer_hit_rate", "buffer-pool hit rate (0 without a pool)", func() float64 {
 		bs, ok := s.eng.BufferStats()
 		if !ok {

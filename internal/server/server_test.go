@@ -229,6 +229,20 @@ func TestEndpointsEndToEnd(t *testing.T) {
 	}
 }
 
+// TestMetricsIOCountersAreCounters checks that the cumulative engine I/O
+// totals are exported with the Prometheus counter type, so rate() applies.
+func TestMetricsIOCountersAreCounters(t *testing.T) {
+	s := newTestServer(t, Config{Engine: NewTreeEngine(buildTree(t, 10), false)})
+	w := httptest.NewRecorder()
+	s.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	out := w.Body.String()
+	for _, name := range []string{"cbb_io_leaf_reads_total", "cbb_io_dir_reads_total", "cbb_io_writes_total"} {
+		if want := "# TYPE " + name + " counter\n"; !strings.Contains(out, want) {
+			t.Errorf("/metrics lacks %q:\n%s", want, out)
+		}
+	}
+}
+
 func TestBadRequests(t *testing.T) {
 	s := newTestServer(t, Config{Engine: NewTreeEngine(buildTree(t, 10), false)})
 	cases := []struct {

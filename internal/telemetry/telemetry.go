@@ -10,8 +10,8 @@
 // the *runtime* instrumentation of a live serving process (request counts,
 // in-flight gauges, latency distributions — always on, nanoseconds per
 // observation). The two never share state; a serving binary exports engine
-// counters (IOStats, BufferStats) through telemetry gauges, and the
-// evaluation harness keeps using metrics untouched.
+// state (IOStats, BufferStats) through scrape-time telemetry counters and
+// gauges, and the evaluation harness keeps using metrics untouched.
 package telemetry
 
 import (
@@ -52,8 +52,8 @@ func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // GaugeFunc is a gauge whose value is computed at scrape time, used to
-// export engine state (object counts, I/O counters, buffer hit rates)
-// without the engine pushing updates.
+// export engine state (object counts, buffer hit rates) without the engine
+// pushing updates. Cumulative totals use Registry.CounterFunc instead.
 type GaugeFunc func() float64
 
 // Histogram bucket layout: values below 2^subBits fall into one exact
@@ -199,6 +199,7 @@ const (
 	kindCounter metricKind = iota
 	kindGauge
 	kindGaugeFunc
+	kindCounterFunc
 	kindHistogram
 )
 
@@ -212,7 +213,7 @@ type metric struct {
 
 	counter *Counter
 	gauge   *Gauge
-	fn      GaugeFunc
+	fn      func() float64 // GaugeFunc and CounterFunc
 	hist    *Histogram
 	// histUnit divides histogram values at exposition time (1e9 renders
 	// nanosecond observations as Prometheus-conventional seconds).
@@ -247,6 +248,12 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 // GaugeFunc registers a gauge computed at scrape time.
 func (r *Registry) GaugeFunc(name, help string, fn GaugeFunc) {
 	r.add(&metric{name: name, help: help, kind: kindGaugeFunc, fn: fn})
+}
+
+// CounterFunc registers a counter read at scrape time, for cumulative engine
+// totals the engine keeps itself (fn must never decrease).
+func (r *Registry) CounterFunc(name, help string, fn func() float64) {
+	r.add(&metric{name: name, help: help, kind: kindCounterFunc, fn: fn})
 }
 
 // Histogram registers and returns a new histogram. unit divides the raw
@@ -304,6 +311,9 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			fmt.Fprintf(w, "%s %d\n", m.name, m.gauge.Value())
 		case kindGaugeFunc:
 			header(m, "gauge")
+			fmt.Fprintf(w, "%s %s\n", m.name, formatFloat(m.fn()))
+		case kindCounterFunc:
+			header(m, "counter")
 			fmt.Fprintf(w, "%s %s\n", m.name, formatFloat(m.fn()))
 		case kindHistogram:
 			header(m, "histogram")

@@ -102,6 +102,7 @@ func TestRegistryPrometheusFormat(t *testing.T) {
 	c2 := r.Counter(`requests_total{endpoint="/knn"}`, "requests by endpoint")
 	g := r.Gauge("inflight", "in-flight requests")
 	r.GaugeFunc("objects", "indexed objects", func() float64 { return 42 })
+	r.CounterFunc("reads_total", "cumulative reads", func() float64 { return 9 })
 	h := r.Histogram("latency_seconds", "request latency", 1e9)
 
 	c.Add(3)
@@ -121,7 +122,10 @@ func TestRegistryPrometheusFormat(t *testing.T) {
 		`requests_total{endpoint="/knn"} 1`,
 		"# TYPE inflight gauge",
 		"inflight 7",
+		"# TYPE objects gauge",
 		"objects 42",
+		"# TYPE reads_total counter",
+		"reads_total 9",
 		"# TYPE latency_seconds histogram",
 		`latency_seconds_bucket{le="+Inf"} 1`,
 		"latency_seconds_count 1",
