@@ -170,25 +170,18 @@ func (n *node) removeEntry(i, dims int) {
 }
 
 // mbbIntersects reports whether q intersects the MBB of the node's entries,
-// scanning the rows instead of materialising the MBB (n.mbb() allocates).
-// An entry-less node keeps the legacy vacuous-truth semantics of the zero
-// Rect: everything intersects it.
+// read from qmbb instead of materialising the MBB (n.mbb() allocates).
+// qmbb is exactly the rows' MBB: syncPlanes computes it from the rows, and a
+// directory adopted from a v2 page carries the stored exact MBB, whose
+// bounds its decoded rows reproduce (grid 0 and the top grid value decode to
+// the bounds exactly). An entry-less node keeps the legacy vacuous-truth
+// semantics of the zero Rect: everything intersects it.
 func (n *node) mbbIntersects(q geom.Rect, dims int) bool {
 	if len(n.entries) == 0 {
 		return true
 	}
 	for d := 0; d < dims; d++ {
-		minLo := math.Inf(1)
-		maxHi := math.Inf(-1)
-		for off := 0; off < len(n.boxes); off += 2 * dims {
-			if v := n.boxes[off+d]; v < minLo {
-				minLo = v
-			}
-			if v := n.boxes[off+dims+d]; v > maxHi {
-				maxHi = v
-			}
-		}
-		if maxHi < q.Lo[d] || q.Hi[d] < minLo {
+		if n.qmbb[dims+d] < q.Lo[d] || q.Hi[d] < n.qmbb[d] {
 			return false
 		}
 	}
@@ -196,26 +189,20 @@ func (n *node) mbbIntersects(q geom.Rect, dims int) bool {
 }
 
 // mbbMinDistSq returns the squared minimum distance from p to the node's MBB
-// without materialising the MBB, mirroring geom.Rect.MinDistSq.
+// (qmbb, see mbbIntersects), mirroring geom.Rect.MinDistSq; an entry-less
+// node is infinitely far.
 func (n *node) mbbMinDistSq(p geom.Point, dims int) float64 {
+	if len(n.entries) == 0 {
+		return math.Inf(1)
+	}
 	var s float64
 	for d := 0; d < dims; d++ {
-		minLo := math.Inf(1)
-		maxHi := math.Inf(-1)
-		for off := 0; off < len(n.boxes); off += 2 * dims {
-			if v := n.boxes[off+d]; v < minLo {
-				minLo = v
-			}
-			if v := n.boxes[off+dims+d]; v > maxHi {
-				maxHi = v
-			}
-		}
-		switch {
-		case p[d] < minLo:
-			dv := minLo - p[d]
+		switch lo, hi := n.qmbb[d], n.qmbb[dims+d]; {
+		case p[d] < lo:
+			dv := lo - p[d]
 			s += dv * dv
-		case p[d] > maxHi:
-			dv := p[d] - maxHi
+		case p[d] > hi:
+			dv := p[d] - hi
 			s += dv * dv
 		}
 	}
