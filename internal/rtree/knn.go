@@ -161,7 +161,7 @@ func (v *Version) NearestNeighbors(k int, p geom.Point) []Neighbor {
 					continue
 				}
 				if n.leaf {
-					refs = append(refs, knnRef{object: n.entries[i].Object, rect: n.rect(i, dims)})
+					refs = append(refs, knnRef{leaf: n.id, entry: int32(i)})
 					pq = knnPush(pq, knnItem{distSq: d, ref: int64(len(refs)-1)<<1 | 1})
 				} else {
 					pq = knnPush(pq, knnItem{distSq: d, ref: int64(n.entries[i].Child) << 1})
@@ -171,13 +171,9 @@ func (v *Version) NearestNeighbors(k int, p geom.Point) []Neighbor {
 		}
 		// An object entry surfaced: it is at least as close as everything
 		// still queued, so it is final.
-		r := &refs[e.ref>>1]
-		results = insertNeighbor(results, Neighbor{Object: r.object, Rect: r.rect, DistSq: e.distSq}, k)
-	}
-	// Drop rectangle views before pooling so the scratch does not pin node
-	// rows of this tree until its next use.
-	for i := range refs {
-		refs[i] = knnRef{}
+		r := refs[e.ref>>1]
+		leaf := v.node(r.leaf) // visited above, so resident
+		results = insertNeighbor(results, Neighbor{Object: leaf.entries[r.entry].Object, Rect: leaf.rect(int(r.entry), dims), DistSq: e.distSq}, k)
 	}
 	sc.refs = refs[:0]
 	sc.pq = pq[:0]
@@ -212,13 +208,14 @@ type knnItem struct {
 	ref    int64
 }
 
-// knnRef is the out-of-band payload of an object item: the object and a view
-// of its row in the (immutable) leaf. Arena entries are append-only and never
-// move, so each is written once and only read back if the object surfaces
-// into the result set.
+// knnRef is the out-of-band payload of an object item: where the entry sits
+// in the version's (immutable) leaves. Arena entries are append-only and
+// never move, so each is written once and only resolved to an object and a
+// rectangle view if the object surfaces into the result set. Being
+// pointer-free, the pooled arena pins nothing between queries.
 type knnRef struct {
-	object ObjectID
-	rect   geom.Rect
+	leaf  NodeID
+	entry int32
 }
 
 // knnLess orders queue items by ascending distance, surfacing objects

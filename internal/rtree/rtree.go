@@ -141,8 +141,8 @@ type node struct {
 // extents are capacity-capped, so appending to them copies instead of
 // overwriting the neighbouring coordinates.
 func rowRect(boxes []float64, i, dims int) geom.Rect {
-	o := i * 2 * dims
-	return geom.Rect{Lo: boxes[o : o+dims : o+dims], Hi: boxes[o+dims : o+2*dims : o+2*dims]}
+	row := boxes[i*2*dims : (i+1)*2*dims : (i+1)*2*dims]
+	return geom.Rect{Lo: row[:dims:dims], Hi: row[dims:]}
 }
 
 // rect returns entry i's rectangle as a view into the node's rows.
