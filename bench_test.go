@@ -362,8 +362,10 @@ func BenchmarkBatchSearchWorkers(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			var leafReads int64
+			v := tree.Snapshot()
+			defer v.Close()
 			for i := 0; i < b.N; i++ {
-				res, err := cbb.BatchSearch(tree, batch, cbb.BatchOptions{Workers: workers})
+				res, err := v.BatchSearch(batch, cbb.BatchOptions{Workers: workers})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -46,14 +46,15 @@
 // overlay and publishes a new immutable version behind one atomic pointer.
 // Readers never block writers and writers never block readers.
 //
-//   - Queries (Search, SearchAll, Count, NearestNeighbors, BatchSearch,
-//     joins) may run from any number of goroutines at any time — including
-//     concurrently with Insert, Delete, and open batches. Each query loads
-//     the current version once and traverses it lock-free; it sees either
-//     the state before a concurrent commit or after it, never a mix.
-//   - Tree.Snapshot returns a pinned View: a frozen state of the index that
-//     an arbitrarily long sequence of queries (and view-based joins) can
-//     run against while writers keep committing. Close releases it.
+//   - Queries (Search, SearchAll, Count, NearestNeighbors, joins) may run
+//     from any number of goroutines at any time — including concurrently
+//     with Insert, Delete, and open batches. Each query loads the current
+//     version once and traverses it lock-free; it sees either the state
+//     before a concurrent commit or after it, never a mix.
+//   - Tree.Snapshot and ShardedTree.Snapshot return a pinned View: a frozen
+//     state of the index that an arbitrarily long sequence of queries, batch
+//     searches and joins can run against while writers keep committing.
+//     Close releases it.
 //   - Writers are serialised by an internal writer lock. Tree.Begin opens a
 //     Batch whose mutations are published to readers as one atomic commit.
 //   - AttachBufferPool, DetachBufferPool, ResetIOStats, SaveTo, Stats, and
@@ -76,7 +77,6 @@ import (
 	"cbb/internal/clipindex"
 	"cbb/internal/core"
 	"cbb/internal/geom"
-	"cbb/internal/parallel"
 	"cbb/internal/rtree"
 	"cbb/internal/storage"
 )
@@ -212,7 +212,7 @@ func (o Options) clipParams() core.Params {
 // Tree is a spatial index: an R-tree of the configured variant, optionally
 // augmented with clipped bounding boxes. It is single-writer/multi-reader
 // with snapshot isolation: read-only queries (Search, SearchAll, Count,
-// NearestNeighbors, BatchSearch, joins) may run from any number of
+// NearestNeighbors, joins) may run from any number of
 // goroutines at any time, concurrently with mutations, and mutations are
 // serialised internally — see the package documentation's Concurrency
 // section, Snapshot, and Begin.
@@ -401,7 +401,7 @@ func (t *Tree) Count(q Rect) int {
 	return n
 }
 
-// BatchOptions configures BatchSearch.
+// BatchOptions configures View.BatchSearch.
 type BatchOptions struct {
 	// Workers is the number of goroutines the batch is fanned out over;
 	// 0 (or negative) uses GOMAXPROCS, 1 runs sequentially. The effective
@@ -412,8 +412,8 @@ type BatchOptions struct {
 	Collect bool
 }
 
-// BatchResult is the outcome of a BatchSearch, index-aligned with the query
-// batch. Counts, Items, and IO are deterministic: they equal what a
+// BatchResult is the outcome of a View.BatchSearch, index-aligned with the
+// query batch. Counts, Items, and IO are deterministic: they equal what a
 // sequential loop over the same queries would produce, for any worker count.
 type BatchResult struct {
 	// Counts holds the number of matches of each query.
@@ -425,37 +425,6 @@ type BatchResult struct {
 	IO IOStats
 	// Workers is the number of goroutines actually used.
 	Workers int
-}
-
-// BatchSearch runs a batch of range queries against the tree on a pool of
-// worker goroutines (the clipped search path when clipping is enabled).
-// Every worker charges a private I/O counter and the per-worker totals are
-// merged afterwards, so BatchResult.IO is exact and the tree's cumulative
-// IOStats advance exactly as in a sequential run. BatchSearch is itself safe
-// to call concurrently with other read-only queries.
-func BatchSearch(t *Tree, queries []Rect, opts BatchOptions) (BatchResult, error) {
-	if t == nil {
-		return BatchResult{}, errors.New("cbb: BatchSearch requires a tree")
-	}
-	popts := parallel.Options{
-		Workers: opts.Workers,
-		Collect: opts.Collect,
-		Main:    t.tree.Counter(),
-	}
-	var searcher parallel.Searcher = t.tree
-	if t.idx != nil {
-		searcher = t.idx
-	}
-	res := parallel.RunBatch(searcher, queries, popts)
-	out := BatchResult{
-		Counts:  res.Counts,
-		Workers: res.Workers,
-		IO:      toIOStats(res.IO),
-	}
-	if opts.Collect {
-		out.Items = res.Items
-	}
-	return out, nil
 }
 
 // Neighbor is one result of a nearest-neighbour query.
@@ -471,7 +440,10 @@ type Neighbor struct {
 // traverses the plain R-tree best-first and works identically whether or not
 // clipping is enabled.
 func (t *Tree) NearestNeighbors(k int, p Point) []Neighbor {
-	raw := t.readVersion().NearestNeighbors(k, p)
+	return toNeighbors(t.readVersion().NearestNeighbors(k, p))
+}
+
+func toNeighbors(raw []rtree.Neighbor) []Neighbor {
 	out := make([]Neighbor, len(raw))
 	for i, n := range raw {
 		out[i] = Neighbor{Object: n.Object, Rect: n.Rect, DistSq: n.DistSq}
@@ -604,9 +576,3 @@ func (t *Tree) Validate() error {
 	}
 	return nil
 }
-
-// internalTree exposes the underlying R-tree to sibling files in this
-// package (joins); it is not part of the public API.
-func (t *Tree) internalTree() *rtree.Tree { return t.tree }
-
-func (t *Tree) internalIndex() *clipindex.Index { return t.idx }

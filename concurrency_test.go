@@ -78,7 +78,7 @@ func TestConcurrentReaders(t *testing.T) {
 							return
 						}
 					case 3:
-						res, err := BatchSearch(tree, queries[:10], BatchOptions{Workers: 2})
+						res, err := batchSearch(tree, queries[:10], BatchOptions{Workers: 2})
 						if err != nil {
 							errs <- err.Error()
 							return
@@ -115,7 +115,7 @@ func TestBatchSearchMatchesSequential(t *testing.T) {
 
 	for _, workers := range []int{1, 3, 8} {
 		tree.ResetIOStats()
-		res, err := BatchSearch(tree, queries, BatchOptions{Workers: workers, Collect: true})
+		res, err := batchSearch(tree, queries, BatchOptions{Workers: workers, Collect: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,6 +135,13 @@ func TestBatchSearchMatchesSequential(t *testing.T) {
 			t.Fatalf("workers=%d: cumulative IOStats %+v, want %+v", workers, got, wantIO)
 		}
 	}
+}
+
+// batchSearch runs one BatchSearch on a view pinned for the call.
+func batchSearch(t *Tree, queries []Rect, opts BatchOptions) (BatchResult, error) {
+	v := t.Snapshot()
+	defer v.Close()
+	return v.BatchSearch(queries, opts)
 }
 
 // TestParallelJoinDeterminism checks that parallel joins report pair counts
@@ -159,16 +166,19 @@ func TestParallelJoinDeterminism(t *testing.T) {
 		t.Fatalf("join strategies disagree: INLJ %d, STT %d", seqINLJ.Pairs, seqSTT.Pairs)
 	}
 
+	lv, rv := left.Snapshot(), right.Snapshot()
+	defer lv.Close()
+	defer rv.Close()
 	for _, workers := range []int{2, 4, 8} {
 		opts := JoinOptions{Workers: workers}
-		inlj, err := IndexNestedLoopJoinWith(right, probes, opts, nil)
+		inlj, err := IndexNestedLoopJoinView(rv, probes, opts, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if inlj.Pairs != seqINLJ.Pairs || inlj.IO != seqINLJ.IO {
 			t.Fatalf("INLJ workers=%d: %+v, sequential %+v", workers, inlj, seqINLJ)
 		}
-		stt, err := SynchronizedTreeTraversalJoinWith(left, right, opts, nil)
+		stt, err := SynchronizedTreeTraversalJoinView(lv, rv, opts, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

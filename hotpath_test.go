@@ -98,7 +98,7 @@ func TestBatchSearchShardedPoolRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for round := 0; round < 5; round++ {
-				res, err := BatchSearch(tree, queries, BatchOptions{Workers: 4})
+				res, err := batchSearch(tree, queries, BatchOptions{Workers: 4})
 				if err != nil {
 					errs <- err
 					return
@@ -120,5 +120,82 @@ func TestBatchSearchShardedPoolRace(t *testing.T) {
 	stats, ok := tree.BufferStats()
 	if !ok || stats.Hits+stats.Misses == 0 {
 		t.Fatal("buffer pool saw no traffic")
+	}
+}
+
+// raceEnabled reports a -race build (see race_on_test.go).
+var raceEnabled bool
+
+// TestViewAllocs bounds the allocations per call of the pinned read path on
+// a 50k-object 3-D clipped RR*-tree and on a 4-shard engine holding the same
+// objects. Before Tree and ShardedTree views became one View type the counts
+// were 1/6 (pin), 0/0 (Count), 2/22 (k-NN) and 10/12 (INLJ) for a tree and
+// a 4-shard view; the bounds are today's counts.
+func TestViewAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds two 50k-object indexes")
+	}
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under the race detector")
+	}
+	rng := rand.New(rand.NewSource(5))
+	items := make([]Item, 50000)
+	for i := range items {
+		lo := Pt(rng.Float64()*990, rng.Float64()*990, rng.Float64()*990)
+		items[i] = Item{Object: ObjectID(i), Rect: Rect{Lo: lo, Hi: Pt(lo[0]+rng.Float64()*10, lo[1]+rng.Float64()*10, lo[2]+rng.Float64()*10)}}
+	}
+	queries := make([]Rect, 64)
+	for i := range queries {
+		lo := Pt(rng.Float64()*950, rng.Float64()*950, rng.Float64()*950)
+		queries[i] = Rect{Lo: lo, Hi: Pt(lo[0]+40, lo[1]+40, lo[2]+40)}
+	}
+	opts := Options{Dims: 3, Variant: RRStarTree, Clipping: ClipStairline, Universe: R(0, 0, 0, 1000, 1000, 1000)}
+	tree, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.BulkLoad(items); err != nil {
+		t.Fatal(err)
+	}
+	st, err := NewSharded(ShardedOptions{Options: opts, Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.BulkLoad(items); err != nil {
+		t.Fatal(err)
+	}
+	probe := []Item{items[7]}
+
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	i := 0
+	allocs := func(f func()) float64 {
+		for k := 0; k < 50; k++ {
+			f()
+		}
+		return testing.AllocsPerRun(200, f)
+	}
+	for _, c := range []struct {
+		name            string
+		snapshot        func() *View
+		pin, count, knn float64
+		inlj            float64
+	}{
+		{"tree", tree.Snapshot, 1, 0, 2, 9},
+		{"sharded4", st.Snapshot, 2, 0, 16, 9},
+	} {
+		if got := allocs(func() { c.snapshot().Close() }); got > c.pin {
+			t.Errorf("%s: Snapshot+Close allocates %.1f, want <= %.0f", c.name, got, c.pin)
+		}
+		v := c.snapshot()
+		if got := allocs(func() { v.Count(queries[i%len(queries)]); i++ }); got > c.count {
+			t.Errorf("%s: Count allocates %.1f, want <= %.0f", c.name, got, c.count)
+		}
+		if got := allocs(func() { v.NearestNeighbors(10, queries[i%len(queries)].Lo); i++ }); got > c.knn {
+			t.Errorf("%s: NearestNeighbors(10) allocates %.1f, want <= %.0f", c.name, got, c.knn)
+		}
+		if got := allocs(func() { IndexNestedLoopJoinView(v, probe, JoinOptions{Workers: 1}, nil) }); got > c.inlj {
+			t.Errorf("%s: IndexNestedLoopJoinView allocates %.1f, want <= %.0f", c.name, got, c.inlj)
+		}
+		v.Close()
 	}
 }

@@ -6,11 +6,13 @@
 // probe rectangle (INLJ) or the partner subtree's MBB (STT) lies entirely in
 // the child's clipped dead space.
 //
-// Both strategies also come in parallel variants (PINLJ, PSTT) that fan the
-// work out over a pool of goroutines: PINLJ partitions the probe set, PSTT
-// partitions the admissible pairs of root children. Every worker charges a
-// private storage.Counter, so the reported I/O is exact and — like the pair
-// count — identical to the sequential run regardless of scheduling.
+// Each strategy has one entry point over bound snapshots (INLJSides,
+// STTPairs) that serves a single tree and a sharded engine alike and fans
+// the work out over a pool of goroutines: INLJSides partitions the probe
+// set, STTPairs the admissible pairs of root children. Every worker charges
+// a private storage.Counter, so the reported I/O is exact and — like the
+// pair count — identical to the sequential run regardless of scheduling.
+// INLJ and STT are the sequential joins of live trees.
 package join
 
 import (
@@ -81,9 +83,10 @@ func (s *Side) validate(name string) error {
 	return nil
 }
 
-// search runs one range query against the side's snapshot (clipped when the
-// side has a clip snapshot), charging node accesses to c.
-func (s *Side) search(q geom.Rect, c *storage.Counter, visit func(rtree.ObjectID, geom.Rect) bool) {
+// SearchCounted runs one range query against the side's snapshot (clipped
+// when the side has a clip snapshot), charging node accesses to c (the
+// tree's own counter when c is nil).
+func (s *Side) SearchCounted(q geom.Rect, c *storage.Counter, visit func(rtree.ObjectID, geom.Rect) bool) {
 	if s.Snap != nil {
 		s.Snap.SearchCounted(q, c, visit)
 		return
@@ -94,37 +97,44 @@ func (s *Side) search(q geom.Rect, c *storage.Counter, visit func(rtree.ObjectID
 // clips returns the side's clip points for a node (nil when unclipped).
 func (s *Side) clips(id rtree.NodeID) []core.ClipPoint { return s.Snap.Clips(id) }
 
-// INLJ performs an index nested loop join: every probe rectangle is run as a
-// range query against the indexed (and optionally clipped) input. When idx
-// is nil the plain tree is probed; otherwise the clipped search path is
-// used. The visit callback is optional.
+// INLJ performs an index nested loop join against the last committed state
+// of one input: every probe rectangle is run as a range query against the
+// indexed (and optionally clipped) tree. When idx is nil the plain tree is
+// probed; otherwise the clipped search path is used. The visit callback is
+// optional.
 func INLJ(tree *rtree.Tree, idx *clipindex.Index, probes []rtree.Item, visit func(Pair)) (Result, error) {
-	return PINLJ(tree, idx, probes, 1, visit)
-}
-
-// PINLJ is INLJ fanned out over a pool of worker goroutines, each probing a
-// partition of the probe set with a private I/O counter; workers <= 0 uses
-// GOMAXPROCS and 1 reproduces the sequential INLJ exactly. The merged I/O is
-// folded back into the tree's counter, so accumulated IOStats match a
-// sequential run. When visit is non-nil it is serialised by a mutex but the
-// pair order across probes is unspecified for workers > 1.
-func PINLJ(tree *rtree.Tree, idx *clipindex.Index, probes []rtree.Item, workers int, visit func(Pair)) (Result, error) {
 	if tree == nil {
 		return Result{}, errors.New("join: INLJ requires an indexed input")
 	}
-	if idx != nil && idx.Tree() != tree {
-		return Result{}, errors.New("join: clip index does not belong to the probed tree")
-	}
-	return PINLJSide(Bind(tree, idx), probes, workers, visit)
+	return INLJSides([]Side{Bind(tree, idx)}, probes, 1, visit)
 }
 
-// PINLJSide is PINLJ against an explicitly bound snapshot of the indexed
-// input — the entry point of view-based joins: every probe runs against the
-// same pinned epoch, so the result is exactly what a fully quiesced tree at
-// that epoch would produce even while a writer commits concurrently.
-func PINLJSide(in Side, probes []rtree.Item, workers int, visit func(Pair)) (Result, error) {
-	if err := in.validate("indexed"); err != nil {
-		return Result{}, err
+// INLJSides is the index nested loop join over bound snapshots that together
+// form one logical index: one side for a single tree, one per shard for a
+// sharded engine, every object in exactly one side. Every probe runs as a
+// range query against each side; with several sides, a side whose root MBB
+// the probe misses is skipped without charging I/O (mirroring how the
+// sharded engine routes queries). The pair set is the union over sides,
+// exact and duplicate-free because the sides partition the objects.
+//
+// The probe set is partitioned over a pool of worker goroutines (workers <=
+// 0 uses GOMAXPROCS, 1 runs sequentially), each charging a private I/O
+// counter. The sides must share one I/O counter, as the shards of one
+// engine do; the merged total is folded back into it once, so the reported
+// I/O, like the pair count, is identical for every worker count. When
+// visit is non-nil it is serialised by a mutex, but the pair order across
+// probes is unspecified for workers > 1.
+func INLJSides(sides []Side, probes []rtree.Item, workers int, visit func(Pair)) (Result, error) {
+	if len(sides) == 0 {
+		return Result{}, errors.New("join: INLJ requires an indexed input")
+	}
+	for i := range sides {
+		if err := sides[i].validate("indexed"); err != nil {
+			return Result{}, err
+		}
+		if sides[i].Tree.Counter() != sides[0].Tree.Counter() {
+			return Result{}, errors.New("join: indexed sides do not share one I/O counter")
+		}
 	}
 	workers = parallel.EffectiveWorkers(workers, len(probes))
 	if len(probes) == 0 {
@@ -132,72 +142,19 @@ func PINLJSide(in Side, probes []rtree.Item, workers int, visit func(Pair)) (Res
 	}
 
 	emit := serializedVisit(visit, workers)
+	skip := len(sides) > 1
 
 	var pairs int64
 	snapshots := parallel.ForEachChunk(len(probes), workers, func(_, start, end int, c *storage.Counter) {
 		var local int64
 		for i := start; i < end; i++ {
 			probe := probes[i]
-			in.search(probe.Rect, c, func(id rtree.ObjectID, _ geom.Rect) bool {
-				local++
-				if emit != nil {
-					emit(Pair{Left: id, Right: probe.Object})
-				}
-				return true
-			})
-		}
-		atomic.AddInt64(&pairs, local)
-	})
-
-	res := Result{Pairs: pairs}
-	for _, s := range snapshots {
-		res.IO = res.IO.Add(s)
-	}
-	in.Tree.Counter().Add(res.IO)
-	return res, nil
-}
-
-// PINLJSides is PINLJ against a set of bound snapshots that together form
-// one logical index — the entry point of sharded joins, where every shard
-// contributes one Side and each object lives in exactly one shard. Every
-// probe is run against every side whose root MBB it intersects (the
-// directory-level skip is not charged as I/O, mirroring how the sharded
-// engine routes queries); the pair set is the union over sides, exact and
-// duplicate-free because the sides partition the objects. The per-side I/O
-// is folded back into each side's tree counter, so shard-level IOStats stay
-// exact regardless of worker count.
-func PINLJSides(sides []Side, probes []rtree.Item, workers int, visit func(Pair)) (Result, error) {
-	for i := range sides {
-		if err := sides[i].validate("indexed"); err != nil {
-			return Result{}, err
-		}
-	}
-	workers = parallel.EffectiveWorkers(workers, len(probes))
-	if len(probes) == 0 || len(sides) == 0 {
-		return Result{}, nil
-	}
-
-	emit := serializedVisit(visit, workers)
-
-	// One private counter per (worker, side) cell: every node access is
-	// charged to exactly one cell, so the fold below is exact whether the
-	// sides share one tree counter (the sharded engine) or use distinct ones.
-	ctrs := make([][]storage.Counter, workers)
-	for w := range ctrs {
-		ctrs[w] = make([]storage.Counter, len(sides))
-	}
-
-	var pairs int64
-	parallel.ForEachChunk(len(probes), workers, func(w, start, end int, _ *storage.Counter) {
-		var local int64
-		for i := start; i < end; i++ {
-			probe := probes[i]
 			for si := range sides {
 				s := &sides[si]
-				if s.V.RootID() == rtree.InvalidNode || !s.V.RootMBBIntersects(probe.Rect) {
+				if skip && (s.V.RootID() == rtree.InvalidNode || !s.V.RootMBBIntersects(probe.Rect)) {
 					continue
 				}
-				s.search(probe.Rect, &ctrs[w][si], func(id rtree.ObjectID, _ geom.Rect) bool {
+				s.SearchCounted(probe.Rect, c, func(id rtree.ObjectID, _ geom.Rect) bool {
 					local++
 					if emit != nil {
 						emit(Pair{Left: id, Right: probe.Object})
@@ -210,124 +167,75 @@ func PINLJSides(sides []Side, probes []rtree.Item, workers int, visit func(Pair)
 	})
 
 	res := Result{Pairs: pairs}
-	for si := range sides {
-		var io storage.Snapshot
-		for w := range ctrs {
-			io = io.Add(ctrs[w][si].Snapshot())
-		}
-		sides[si].Tree.Counter().Add(io)
-		res.IO = res.IO.Add(io)
+	for _, s := range snapshots {
+		res.IO = res.IO.Add(s)
 	}
+	sides[0].Tree.Counter().Add(res.IO)
 	return res, nil
 }
 
-// SidePair is one (left, right) input combination of a sharded STT join.
+// SidePair is one (left, right) input combination of an STT join: the two
+// trees for unsharded inputs, one pair of shards for sharded ones.
 type SidePair struct {
 	Left, Right Side
 }
 
-// PSTTSidePairs runs a synchronised tree traversal join over a set of side
-// pairs — the cross product of intersecting shards when both inputs are
-// sharded — and sums the results. Because each object lives in exactly one
-// shard per input, each intersecting object pair appears in exactly one
-// side pair, so the summed pair count equals the unsharded join's. Pairs
-// are partitioned over the workers; each pair's traversal runs sequentially
-// and folds its I/O into its own trees' counters, exactly like PSTTSides.
-func PSTTSidePairs(sidePairs []SidePair, workers int, visit func(Pair)) (Result, error) {
-	for i := range sidePairs {
-		if err := sidePairs[i].Left.validate("left"); err != nil {
-			return Result{}, err
-		}
-		if err := sidePairs[i].Right.validate("right"); err != nil {
-			return Result{}, err
-		}
-	}
-	workers = parallel.EffectiveWorkers(workers, len(sidePairs))
-	if len(sidePairs) == 0 {
-		return Result{}, nil
-	}
-
-	emit := serializedVisit(visit, workers)
-
-	results := make([]Result, len(sidePairs))
-	var firstErr atomic.Pointer[error]
-	parallel.ForEachChunk(len(sidePairs), workers, func(_, start, end int, _ *storage.Counter) {
-		for i := start; i < end; i++ {
-			r, err := PSTTSides(sidePairs[i].Left, sidePairs[i].Right, 1, emit)
-			if err != nil {
-				firstErr.CompareAndSwap(nil, &err)
-				return
-			}
-			results[i] = r
-		}
-	})
-	if errp := firstErr.Load(); errp != nil {
-		return Result{}, *errp
-	}
-
-	var res Result
-	for _, r := range results {
-		res.Pairs += r.Pairs
-		res.IO = res.IO.Add(r.IO)
-	}
-	return res, nil
-}
-
-// STT performs a synchronised tree traversal join of two indexed inputs.
-// When clip indexes are provided (either may be nil), the traversal applies
-// the dominance tests of Algorithm 2 in both directions before descending
-// into a pair of subtrees: a subtree pair is pruned when either side's
-// overlap with the other's MBB lies entirely in clipped dead space.
+// STT performs a synchronised tree traversal join of the last committed
+// states of two indexed inputs. When clip indexes are provided (either may
+// be nil), the traversal applies the dominance tests of Algorithm 2 in both
+// directions before descending into a pair of subtrees: a subtree pair is
+// pruned when either side's overlap with the other's MBB lies entirely in
+// clipped dead space.
 //
 // Both trees must use distinct I/O counters or the same counter; the
 // reported IO is the sum of the I/O charged to both trees (counted once if
 // shared).
 func STT(left, right *rtree.Tree, leftIdx, rightIdx *clipindex.Index, visit func(Pair)) (Result, error) {
-	return PSTT(left, right, leftIdx, rightIdx, 1, visit)
-}
-
-// PSTT is STT fanned out over a pool of worker goroutines: the roots are
-// read once, the admissible pairs of root children are partitioned across
-// the workers, and each worker traverses its pairs with private I/O
-// counters; workers <= 0 uses GOMAXPROCS and 1 reproduces the sequential
-// STT exactly. Pair counts and total I/O are identical to the sequential
-// join. When visit is non-nil it is serialised by a mutex but the pair
-// order is unspecified for workers > 1. Trees whose root is a leaf fall
-// back to the sequential traversal.
-func PSTT(left, right *rtree.Tree, leftIdx, rightIdx *clipindex.Index, workers int, visit func(Pair)) (Result, error) {
 	if left == nil || right == nil {
 		return Result{}, errors.New("join: STT requires two indexed inputs")
 	}
-	if leftIdx != nil && leftIdx.Tree() != left {
-		return Result{}, errors.New("join: left clip index does not belong to the left tree")
-	}
-	if rightIdx != nil && rightIdx.Tree() != right {
-		return Result{}, errors.New("join: right clip index does not belong to the right tree")
-	}
-	return PSTTSides(Bind(left, leftIdx), Bind(right, rightIdx), workers, visit)
+	return STTPairs([]SidePair{{Left: Bind(left, leftIdx), Right: Bind(right, rightIdx)}}, 1, visit)
 }
 
-// PSTTSides is PSTT against two explicitly bound snapshots — the entry point
-// of view-based joins: both traversals run against pinned epochs, one per
-// input, unaffected by concurrent writer commits on either tree.
-func PSTTSides(ls, rs Side, workers int, visit func(Pair)) (Result, error) {
-	if err := ls.validate("left"); err != nil {
-		return Result{}, err
+// STTPairs runs a synchronised tree traversal join over a set of side pairs
+// and sums the results: one pair for two trees, or every pair of shards
+// whose bounds intersect when the inputs are sharded. Because each object
+// lives in exactly one side per input, each intersecting object pair is
+// found in exactly one side pair. All left sides must share one I/O
+// counter, and so must all right sides.
+//
+// With workers > 1 (<= 0 uses GOMAXPROCS) the roots of every side pair are
+// read once, and the admissible pairs of root children, across all side
+// pairs, are partitioned over the workers; a side pair whose root is a leaf
+// is traversed whole by one worker. Every worker charges private I/O
+// counters, so pair counts and total I/O are identical to the sequential
+// join. When visit is non-nil it is serialised by a mutex, but the pair
+// order is unspecified for workers > 1.
+func STTPairs(pairs []SidePair, workers int, visit func(Pair)) (Result, error) {
+	for i := range pairs {
+		l, r := &pairs[i].Left, &pairs[i].Right
+		if err := l.validate("left"); err != nil {
+			return Result{}, err
+		}
+		if err := r.validate("right"); err != nil {
+			return Result{}, err
+		}
+		if l.Tree.Dims() != r.Tree.Dims() {
+			return Result{}, errors.New("join: dimensionality mismatch")
+		}
+		if l.Tree.Counter() != pairs[0].Left.Tree.Counter() || r.Tree.Counter() != pairs[0].Right.Tree.Counter() {
+			return Result{}, errors.New("join: the sides of one input do not share one I/O counter")
+		}
 	}
-	if err := rs.validate("right"); err != nil {
-		return Result{}, err
-	}
-	if ls.Tree.Dims() != rs.Tree.Dims() {
-		return Result{}, errors.New("join: dimensionality mismatch")
-	}
-	if ls.V.RootID() == rtree.InvalidNode || rs.V.RootID() == rtree.InvalidNode {
+	if len(pairs) == 0 {
 		return Result{}, nil
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 
-	shared := ls.Tree.Counter() == rs.Tree.Counter()
+	leftMain, rightMain := pairs[0].Left.Tree.Counter(), pairs[0].Right.Tree.Counter()
+	shared := leftMain == rightMain
 	// newJoiner builds a traversal state charging private counters; leftCtr
 	// may be supplied (the per-worker counter of ForEachChunk) or nil for a
 	// fresh one. With a shared tree counter one private counter receives
@@ -336,12 +244,7 @@ func PSTTSides(ls, rs Side, workers int, visit func(Pair)) (Result, error) {
 		if leftCtr == nil {
 			leftCtr = &storage.Counter{}
 		}
-		j := &sttJoiner{
-			left:    ls,
-			right:   rs,
-			visit:   emit,
-			leftCtr: leftCtr,
-		}
+		j := &sttJoiner{visit: emit, leftCtr: leftCtr}
 		if shared {
 			j.rightCtr = j.leftCtr
 		} else {
@@ -361,36 +264,48 @@ func PSTTSides(ls, rs Side, workers int, visit func(Pair)) (Result, error) {
 				rightIO = rightIO.Add(j.rightCtr.Snapshot())
 			}
 		}
-		ls.Tree.Counter().Add(leftIO)
+		leftMain.Add(leftIO)
 		if !shared {
-			rs.Tree.Counter().Add(rightIO)
+			rightMain.Add(rightIO)
 		}
 		res.IO = leftIO.Add(rightIO)
 		return res
 	}
 
-	linfo, lerr := ls.V.Node(ls.V.RootID())
-	rinfo, rerr := rs.V.Node(rs.V.RootID())
-	if workers <= 1 || lerr != nil || rerr != nil || linfo.Leaf || rinfo.Leaf {
-		j := newJoiner(visit, nil)
-		j.joinNodes(ls.V.RootID(), rs.V.RootID())
-		return finalize(j), nil
+	// The sequential traversal of a side pair reads both roots, then
+	// recurses into every admissible pair of root children; with several
+	// workers, partition exactly those pairs.
+	type task struct {
+		pair int
+		l, r rtree.NodeID
 	}
-
-	// The sequential traversal reads both roots, then recurses into every
-	// admissible pair of root children; partition exactly those pairs.
-	root := newJoiner(nil, nil)
-	root.chargeLeft(linfo)
-	root.chargeRight(rinfo)
-	type task struct{ l, r rtree.NodeID }
 	var tasks []task
-	for i := range linfo.Children {
-		for k := range rinfo.Children {
-			lc, rc := linfo.Children[i].Child, rinfo.Children[k].Child
-			if root.admissible(lc, linfo.Rect(i), rc, rinfo.Rect(k)) {
-				tasks = append(tasks, task{lc, rc})
+	root := newJoiner(nil, nil)
+	for pi := range pairs {
+		p := &pairs[pi]
+		lr, rr := p.Left.V.RootID(), p.Right.V.RootID()
+		if lr == rtree.InvalidNode || rr == rtree.InvalidNode {
+			continue
+		}
+		if workers > 1 {
+			linfo, lerr := p.Left.V.Node(lr)
+			rinfo, rerr := p.Right.V.Node(rr)
+			if lerr == nil && rerr == nil && !linfo.Leaf && !rinfo.Leaf {
+				root.left, root.right = p.Left, p.Right
+				root.chargeLeft(linfo)
+				root.chargeRight(rinfo)
+				for i := range linfo.Children {
+					for k := range rinfo.Children {
+						lc, rc := linfo.Children[i].Child, rinfo.Children[k].Child
+						if root.admissible(lc, linfo.Rect(i), rc, rinfo.Rect(k)) {
+							tasks = append(tasks, task{pi, lc, rc})
+						}
+					}
+				}
+				continue
 			}
 		}
+		tasks = append(tasks, task{pi, lr, rr})
 	}
 	workers = parallel.EffectiveWorkers(workers, len(tasks))
 	if len(tasks) == 0 {
@@ -406,7 +321,9 @@ func PSTTSides(ls, rs Side, workers int, visit func(Pair)) (Result, error) {
 			joiners[w] = j
 		}
 		for i := start; i < end; i++ {
-			j.joinNodes(tasks[i].l, tasks[i].r)
+			t := tasks[i]
+			j.left, j.right = pairs[t.pair].Left, pairs[t.pair].Right
+			j.joinNodes(t.l, t.r)
 		}
 	})
 	live := []*sttJoiner{root}

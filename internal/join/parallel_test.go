@@ -46,7 +46,7 @@ func TestPINLJMatchesSequential(t *testing.T) {
 		}, t)
 		for _, workers := range []int{2, 4, 8} {
 			parPairs, par := sortedPairs(func(v func(Pair)) (Result, error) {
-				return PINLJ(left, clip, probes, workers, v)
+				return INLJSides([]Side{Bind(left, clip)}, probes, workers, v)
 			}, t)
 			if par.Pairs != seq.Pairs {
 				t.Fatalf("workers=%d clip=%v: %d pairs, sequential %d", workers, clip != nil, par.Pairs, seq.Pairs)
@@ -82,7 +82,7 @@ func TestPSTTMatchesSequential(t *testing.T) {
 		}, t)
 		for _, workers := range []int{2, 4, 8} {
 			parPairs, par := sortedPairs(func(v func(Pair)) (Result, error) {
-				return PSTT(left, right, c.li, c.ri, workers, v)
+				return STTPairs([]SidePair{{Left: Bind(left, c.li), Right: Bind(right, c.ri)}}, workers, v)
 			}, t)
 			if par.Pairs != seq.Pairs {
 				t.Fatalf("%s workers=%d: %d pairs, sequential %d", c.name, workers, par.Pairs, seq.Pairs)
@@ -107,7 +107,7 @@ func TestPSTTSharedCounter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := PSTT(left, right, nil, nil, 4, nil)
+	par, err := STTPairs([]SidePair{{Left: Bind(left, nil), Right: Bind(right, nil)}}, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestParallelJoinAccumulatesTreeCounters(t *testing.T) {
 	left, _ := buildIndexed(t, "axo03", 800, 27, rtree.RStar)
 	_, probes := buildIndexed(t, "den03", 500, 28, rtree.RStar)
 	left.Counter().Reset()
-	res, err := PINLJ(left, nil, probes, 4, nil)
+	res, err := INLJSides([]Side{Bind(left, nil)}, probes, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,11 +135,11 @@ func TestPSTTSmallTreesFallBack(t *testing.T) {
 	left, leftItems := buildIndexed(t, "axo03", 10, 29, rtree.Quadratic)
 	right, rightItems := buildIndexed(t, "den03", 8, 30, rtree.Quadratic)
 	want := bruteForcePairs(leftItems, rightItems)
-	res, err := PSTT(left, right, nil, nil, 8, nil)
+	res, err := STTPairs([]SidePair{{Left: Bind(left, nil), Right: Bind(right, nil)}}, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Pairs != want {
-		t.Fatalf("small-tree PSTT found %d pairs, want %d", res.Pairs, want)
+		t.Fatalf("small-tree STTPairs found %d pairs, want %d", res.Pairs, want)
 	}
 }

@@ -10,14 +10,12 @@ import (
 // cbb surface the HTTP handlers need, implemented by both the single-tree
 // and the Hilbert-sharded engine. Snapshot pins a read view (the serving
 // layer pins one view per read request, or one per coalesced batch, so a
-// response is always answered from a single committed epoch), and writes go
-// through the engines' own single-writer/atomic-batch discipline.
+// response is always answered from a single committed epoch per shard), and
+// writes go through the engines' own single-writer/atomic-batch discipline.
 type Engine interface {
-	// Snapshot pins a read view of the last committed state.
-	Snapshot() ReadView
-	// Epochs reports the commit epochs of the last committed state (one
-	// element per shard; a single tree has exactly one).
-	Epochs() []uint64
+	// Snapshot pins a read view of the last committed state (one epoch per
+	// shard; a single tree has exactly one).
+	Snapshot() *cbb.View
 	// Insert adds one object, published atomically.
 	Insert(r cbb.Rect, id cbb.ObjectID) error
 	// Apply applies a write batch atomically: readers observe all of it or
@@ -26,6 +24,8 @@ type Engine interface {
 	Apply(ops []WriteOp) (found int, err error)
 	// Len is the number of indexed objects at the last committed state.
 	Len() int
+	// Dims is the dimensionality of indexed rectangles.
+	Dims() int
 	// Stats, IOStats and BufferStats surface engine-side statistics into
 	// /stats and /metrics.
 	Stats() cbb.Stats
@@ -39,19 +39,6 @@ type Engine interface {
 	// Close flushes (when writable and file-backed) and releases the
 	// engine.
 	Close() error
-}
-
-// ReadView is one pinned snapshot: every operation answers at the view's
-// epoch(s), regardless of concurrent writers. It must be released with
-// Close.
-type ReadView interface {
-	Epochs() []uint64
-	Search(q cbb.Rect, visit func(cbb.ObjectID, cbb.Rect) bool)
-	Count(q cbb.Rect) int
-	NearestNeighbors(k int, p cbb.Point) []cbb.Neighbor
-	BatchSearch(queries []cbb.Rect, opts cbb.BatchOptions) (cbb.BatchResult, error)
-	Join(probes []cbb.Item, opts cbb.JoinOptions, visit func(cbb.JoinPair)) (cbb.JoinResult, error)
-	Close()
 }
 
 // WriteOp is one mutation of a /batch request.
@@ -131,13 +118,7 @@ func NewTreeEngine(t *cbb.Tree, persistent bool) Engine {
 	return &treeEngine{t: t, persistent: persistent}
 }
 
-func (e *treeEngine) Snapshot() ReadView { return treeView{e.t.Snapshot()} }
-
-func (e *treeEngine) Epochs() []uint64 {
-	v := e.t.Snapshot()
-	defer v.Close()
-	return []uint64{v.Epoch()}
-}
+func (e *treeEngine) Snapshot() *cbb.View { return e.t.Snapshot() }
 
 func (e *treeEngine) Insert(r cbb.Rect, id cbb.ObjectID) error { return e.t.Insert(r, id) }
 
@@ -155,6 +136,7 @@ func (e *treeEngine) Apply(ops []WriteOp) (int, error) {
 }
 
 func (e *treeEngine) Len() int                             { return e.t.Len() }
+func (e *treeEngine) Dims() int                            { return e.t.Options().Dims }
 func (e *treeEngine) Stats() cbb.Stats                     { return e.t.Stats() }
 func (e *treeEngine) IOStats() cbb.IOStats                 { return e.t.IOStats() }
 func (e *treeEngine) BufferStats() (cbb.BufferStats, bool) { return e.t.BufferStats() }
@@ -166,25 +148,6 @@ func (e *treeEngine) Flush() error {
 	return e.t.Flush()
 }
 func (e *treeEngine) Close() error { return e.t.Close() }
-
-// treeView adapts a *cbb.View.
-type treeView struct{ v *cbb.View }
-
-func (t treeView) Epochs() []uint64 { return []uint64{t.v.Epoch()} }
-func (t treeView) Search(q cbb.Rect, visit func(cbb.ObjectID, cbb.Rect) bool) {
-	t.v.Search(q, visit)
-}
-func (t treeView) Count(q cbb.Rect) int { return t.v.Count(q) }
-func (t treeView) NearestNeighbors(k int, p cbb.Point) []cbb.Neighbor {
-	return t.v.NearestNeighbors(k, p)
-}
-func (t treeView) BatchSearch(queries []cbb.Rect, opts cbb.BatchOptions) (cbb.BatchResult, error) {
-	return t.v.BatchSearch(queries, opts)
-}
-func (t treeView) Join(probes []cbb.Item, opts cbb.JoinOptions, visit func(cbb.JoinPair)) (cbb.JoinResult, error) {
-	return cbb.IndexNestedLoopJoinView(t.v, probes, opts, visit)
-}
-func (t treeView) Close() { t.v.Close() }
 
 // --- sharded engine -----------------------------------------------------------
 
@@ -200,13 +163,7 @@ func NewShardedEngine(st *cbb.ShardedTree, persistent bool) Engine {
 	return &shardedEngine{st: st, persistent: persistent}
 }
 
-func (e *shardedEngine) Snapshot() ReadView { return shardedView{e.st.Snapshot()} }
-
-func (e *shardedEngine) Epochs() []uint64 {
-	v := e.st.Snapshot()
-	defer v.Close()
-	return v.Epochs()
-}
+func (e *shardedEngine) Snapshot() *cbb.View { return e.st.Snapshot() }
 
 func (e *shardedEngine) Insert(r cbb.Rect, id cbb.ObjectID) error { return e.st.Insert(r, id) }
 
@@ -224,6 +181,7 @@ func (e *shardedEngine) Apply(ops []WriteOp) (int, error) {
 }
 
 func (e *shardedEngine) Len() int                             { return e.st.Len() }
+func (e *shardedEngine) Dims() int                            { return e.st.Options().Dims }
 func (e *shardedEngine) Stats() cbb.Stats                     { return e.st.Stats() }
 func (e *shardedEngine) IOStats() cbb.IOStats                 { return e.st.IOStats() }
 func (e *shardedEngine) BufferStats() (cbb.BufferStats, bool) { return e.st.BufferStats() }
@@ -235,24 +193,5 @@ func (e *shardedEngine) Flush() error {
 	return e.st.Flush()
 }
 func (e *shardedEngine) Close() error { return e.st.Close() }
-
-// shardedView adapts a *cbb.ShardedView.
-type shardedView struct{ v *cbb.ShardedView }
-
-func (s shardedView) Epochs() []uint64 { return s.v.Epochs() }
-func (s shardedView) Search(q cbb.Rect, visit func(cbb.ObjectID, cbb.Rect) bool) {
-	s.v.Search(q, visit)
-}
-func (s shardedView) Count(q cbb.Rect) int { return s.v.Count(q) }
-func (s shardedView) NearestNeighbors(k int, p cbb.Point) []cbb.Neighbor {
-	return s.v.NearestNeighbors(k, p)
-}
-func (s shardedView) BatchSearch(queries []cbb.Rect, opts cbb.BatchOptions) (cbb.BatchResult, error) {
-	return s.v.BatchSearch(queries, opts)
-}
-func (s shardedView) Join(probes []cbb.Item, opts cbb.JoinOptions, visit func(cbb.JoinPair)) (cbb.JoinResult, error) {
-	return cbb.IndexNestedLoopJoinShardedView(s.v, probes, opts, visit)
-}
-func (s shardedView) Close() { s.v.Close() }
 
 var errNoEngine = errors.New("server: Config.Engine is required")

@@ -375,6 +375,28 @@ func decodeJSON(r *http.Request, v any) error {
 
 // --- handlers -----------------------------------------------------------------
 
+// rect converts a wire rectangle and checks it against the engine's
+// dimensionality, so a query or write of the wrong shape is rejected before
+// it reaches the index.
+func (s *Server) rect(r RectJSON) (cbb.Rect, error) {
+	rect, err := r.ToRect()
+	if err != nil {
+		return cbb.Rect{}, err
+	}
+	if rect.Dims() != s.eng.Dims() {
+		return cbb.Rect{}, fmt.Errorf("rect has %d dimensions, the index has %d", rect.Dims(), s.eng.Dims())
+	}
+	return rect, nil
+}
+
+// epochs reports the commit epochs of the last committed state, one per
+// shard.
+func (s *Server) epochs() []uint64 {
+	v := s.eng.Snapshot()
+	defer v.Close()
+	return v.Epochs()
+}
+
 // handleSearch answers one range query. With coalescing enabled the query
 // joins the pending micro-batch and is answered by one BatchSearch on one
 // pinned view shared with its batch peers; otherwise it pins its own view.
@@ -383,7 +405,7 @@ func (s *Server) handleSearch(r *http.Request) (any, error) {
 	if err := decodeJSON(r, &req); err != nil {
 		return nil, err
 	}
-	q, err := req.Query.ToRect()
+	q, err := s.rect(req.Query)
 	if err != nil {
 		return nil, badRequest("query: %v", err)
 	}
@@ -421,7 +443,7 @@ func (s *Server) handleSearchAll(r *http.Request) (any, error) {
 	}
 	queries := make([]cbb.Rect, len(req.Queries))
 	for i, rj := range req.Queries {
-		q, err := rj.ToRect()
+		q, err := s.rect(rj)
 		if err != nil {
 			return nil, badRequest("query %d: %v", i, err)
 		}
@@ -459,8 +481,8 @@ func (s *Server) handleKNN(r *http.Request) (any, error) {
 	if req.K < 1 {
 		return nil, badRequest("k must be at least 1")
 	}
-	if len(req.Point) == 0 {
-		return nil, badRequest("point must not be empty")
+	if len(req.Point) != s.eng.Dims() {
+		return nil, badRequest("point has %d dimensions, the index has %d", len(req.Point), s.eng.Dims())
 	}
 	view := s.eng.Snapshot()
 	defer view.Close()
@@ -478,7 +500,7 @@ func (s *Server) handleInsert(r *http.Request) (any, error) {
 	if err := decodeJSON(r, &req); err != nil {
 		return nil, err
 	}
-	rect, err := req.Rect.ToRect()
+	rect, err := s.rect(req.Rect)
 	if err != nil {
 		return nil, badRequest("rect: %v", err)
 	}
@@ -488,7 +510,7 @@ func (s *Server) handleInsert(r *http.Request) (any, error) {
 	if err := s.eng.Insert(rect, cbb.ObjectID(req.ID)); err != nil {
 		return nil, err
 	}
-	return InsertResponse{Epochs: s.eng.Epochs()}, nil
+	return InsertResponse{Epochs: s.epochs()}, nil
 }
 
 // handleBatch applies a write batch atomically.
@@ -502,7 +524,7 @@ func (s *Server) handleBatch(r *http.Request) (any, error) {
 	}
 	ops := make([]WriteOp, len(req.Ops))
 	for i, op := range req.Ops {
-		rect, err := op.Rect.ToRect()
+		rect, err := s.rect(op.Rect)
 		if err != nil {
 			return nil, badRequest("op %d rect: %v", i, err)
 		}
@@ -522,7 +544,7 @@ func (s *Server) handleBatch(r *http.Request) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	return BatchResponse{Epochs: s.eng.Epochs(), Applied: len(ops), Found: found}, nil
+	return BatchResponse{Epochs: s.epochs(), Applied: len(ops), Found: found}, nil
 }
 
 // handleJoin runs an index nested loop join of the request's probe set
@@ -537,7 +559,7 @@ func (s *Server) handleJoin(r *http.Request) (any, error) {
 	}
 	probes := make([]cbb.Item, len(req.Probes))
 	for i, p := range req.Probes {
-		rect, err := p.Rect.ToRect()
+		rect, err := s.rect(p.Rect)
 		if err != nil {
 			return nil, badRequest("probe %d rect: %v", i, err)
 		}
@@ -557,7 +579,7 @@ func (s *Server) handleJoin(r *http.Request) (any, error) {
 	if req.Collect {
 		visit = results.add
 	}
-	res, err := view.Join(probes, cbb.JoinOptions{Workers: workers}, visit)
+	res, err := cbb.IndexNestedLoopJoinView(view, probes, cbb.JoinOptions{Workers: workers}, visit)
 	if err != nil {
 		return nil, err
 	}
@@ -580,7 +602,7 @@ type collectPairs struct {
 func (c *collectPairs) add(p cbb.JoinPair) {
 	c.mu.Lock()
 	if len(c.pairs) < MaxJoinPairs {
-		c.pairs = append(c.pairs, PairJSON{Probe: int64(p.Left), Indexed: int64(p.Right)})
+		c.pairs = append(c.pairs, PairJSON{Probe: int64(p.Right), Indexed: int64(p.Left)})
 	} else {
 		c.truncated = true
 	}
@@ -594,7 +616,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, HealthResponse{Status: "draining"})
 		return
 	}
-	writeJSON(w, http.StatusOK, HealthResponse{Status: "ok", Objects: s.eng.Len(), Epochs: s.eng.Epochs()})
+	writeJSON(w, http.StatusOK, HealthResponse{Status: "ok", Objects: s.eng.Len(), Epochs: s.epochs()})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -613,7 +635,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		ClipPoints:     st.ClipPoints,
 		AvgClipPoints:  st.AvgClipPoints,
 		ClipTableBytes: st.ClipTableBytes,
-		Epochs:         s.eng.Epochs(),
+		Epochs:         s.epochs(),
 	}
 	resp.IO.LeafReads = io.LeafReads
 	resp.IO.DirReads = io.DirReads

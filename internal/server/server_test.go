@@ -188,13 +188,23 @@ func TestEndpointsEndToEnd(t *testing.T) {
 			}
 
 			// /join: probe with the same query window must count the same
-			// matches.
+			// matches, and name the probe and the indexed objects in their
+			// own fields.
 			var jr JoinResponse
-			if code := post(t, s, "/join", JoinRequest{Probes: []ItemJSON{{ID: 1, Rect: q}}, Collect: true}, &jr); code != 200 {
+			if code := post(t, s, "/join", JoinRequest{Probes: []ItemJSON{{ID: 9999, Rect: q}}, Collect: true}, &jr); code != 200 {
 				t.Fatalf("/join code = %d", code)
 			}
 			if jr.Pairs != int64(want+2) || len(jr.Results) != want+2 {
 				t.Errorf("/join pairs = %d (results %d), want %d", jr.Pairs, len(jr.Results), want+2)
+			}
+			matched := map[int64]bool{}
+			for _, it := range sr3.Items {
+				matched[it.ID] = true
+			}
+			for _, p := range jr.Results {
+				if p.Probe != 9999 || !matched[p.Indexed] {
+					t.Errorf("/join result %+v: want probe 9999 and an indexed object matching the window", p)
+				}
 			}
 
 			// control plane
@@ -258,6 +268,14 @@ func TestBadRequests(t *testing.T) {
 		{"/insert", `{"id":1,"rect":{"lo":[5,5],"hi":[1,1]}}`, http.StatusBadRequest},
 		{"/batch", `{"ops":[{"op":"upsert","id":1,"rect":{"lo":[1,1],"hi":[2,2]}}]}`, http.StatusBadRequest},
 		{"/join", `{"probes":[]}`, http.StatusBadRequest},
+		// The index is 2-D: a rect or point of any other dimensionality is
+		// rejected before it reaches the engine.
+		{"/search", `{"query":{"lo":[1,1,1],"hi":[2,2,2]}}`, http.StatusBadRequest},
+		{"/searchall", `{"queries":[{"lo":[1,1],"hi":[2,2]},{"lo":[1,1,1],"hi":[2,2,2]}]}`, http.StatusBadRequest},
+		{"/knn", `{"point":[1,2,3],"k":1}`, http.StatusBadRequest},
+		{"/insert", `{"id":1,"rect":{"lo":[1,1,1],"hi":[2,2,2]}}`, http.StatusBadRequest},
+		{"/batch", `{"ops":[{"op":"insert","id":1,"rect":{"lo":[1,1,1],"hi":[2,2,2]}}]}`, http.StatusBadRequest},
+		{"/join", `{"probes":[{"id":1,"rect":{"lo":[1,1,1],"hi":[2,2,2]}}]}`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		r := httptest.NewRequest(http.MethodPost, c.path, strings.NewReader(c.body))

@@ -210,10 +210,10 @@ func buildReadDigestEngine(t *testing.T, sharded bool, opts Options, left, right
 		right: func() readDigestView { return rt.Snapshot() },
 		io:    func() IOStats { s := lt.IOStats(); r := rt.IOStats(); return addIOStats(s, r) },
 		inlj: func(v readDigestView, probes []Item, workers int, visit func(JoinPair)) (JoinResult, error) {
-			return IndexNestedLoopJoinShardedView(v.(*ShardedView), probes, JoinOptions{Workers: workers}, visit)
+			return IndexNestedLoopJoinView(v.(*View), probes, JoinOptions{Workers: workers}, visit)
 		},
 		stt: func(l, r readDigestView, workers int, visit func(JoinPair)) (JoinResult, error) {
-			return SynchronizedTreeTraversalJoinShardedViews(l.(*ShardedView), r.(*ShardedView), JoinOptions{Workers: workers}, visit)
+			return SynchronizedTreeTraversalJoinView(l.(*View), r.(*View), JoinOptions{Workers: workers}, visit)
 		},
 	}
 }

@@ -1,13 +1,16 @@
 package cbb
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"cbb/internal/hilbert"
+	"cbb/internal/join"
 	"cbb/internal/rtree"
 	"cbb/internal/storage"
 )
@@ -32,9 +35,9 @@ import (
 //
 // Consistency: per-shard mutations are atomic exactly as on a single Tree.
 // Cross-shard batches (Begin/ShardedBatch) commit all touched shards while
-// holding a commit lock that Snapshot acquires in read mode, so a
-// ShardedView (which pins every shard's epoch in one acquisition) can never
-// observe a partially committed cross-shard batch. Rebalancing (split and
+// holding a commit lock that Snapshot acquires in read mode, so a View
+// (which pins every shard's epoch in one acquisition) can never observe a
+// partially committed cross-shard batch. Rebalancing (split and
 // merge, see below) replaces shards only with content-equivalent rebuilds
 // while their writers are blocked, so readers — pinned or not — never see
 // objects appear or disappear.
@@ -164,8 +167,8 @@ func (d *shardDir) indexOf(sh *shard) int {
 
 // ShardedTree is a spatial index partitioned into independently writable
 // shards by Hilbert order. It serves the same queries as a Tree — Search,
-// SearchAll, Count, NearestNeighbors, BatchSearch, joins — with identical
-// result sets, and the same snapshot-isolation guarantees per shard, but
+// SearchAll, Count, NearestNeighbors, and through Snapshot's View batch
+// searches and joins — with identical result sets, and the same snapshot-isolation guarantees per shard, but
 // mutations on different shards proceed concurrently instead of queueing on
 // one writer mutex. Create one with NewSharded (in memory) or CreateSharded
 // / OpenSharded (file-backed, one snapshot file per shard).
@@ -181,7 +184,7 @@ type ShardedTree struct {
 	// commitMu orders cross-shard commits against multi-shard snapshot
 	// acquisition: ShardedBatch.Commit holds it exclusively while publishing
 	// every touched shard, Snapshot holds it shared while pinning every
-	// shard — so a ShardedView sees either none or all of a batch. Plain
+	// shard — so a View sees either none or all of a batch. Plain
 	// single-shard mutations bypass it entirely (per-shard atomicity needs
 	// no cross-shard ordering), keeping independent writers fully parallel.
 	commitMu sync.RWMutex
@@ -474,8 +477,8 @@ func (st *ShardedTree) BulkLoad(items []Item) error {
 
 // Begin opens a cross-shard writer batch: mutations route to their shards
 // as usual but accumulate in per-shard batches that Commit publishes
-// together — a ShardedView acquired at any moment observes either none or
-// all of them. ShardedBatches are serialised against each other; plain
+// together — a View acquired at any moment observes either none or all of
+// them. ShardedBatches are serialised against each other; plain
 // Insert/Delete calls on other shards keep running concurrently.
 func (st *ShardedTree) Begin() (*ShardedBatch, error) {
 	st.batchMu.Lock()
@@ -586,7 +589,7 @@ func (sb *ShardedBatch) Delete(r Rect, id ObjectID) (bool, error) {
 }
 
 // Commit publishes every touched shard's batch as one atomic step with
-// respect to ShardedViews: a view acquisition is excluded for the duration
+// respect to Snapshot: a view acquisition is excluded for the duration
 // of the multi-shard publish, so it sees all of the batch or none of it.
 func (sb *ShardedBatch) Commit() error {
 	if sb.done {
@@ -695,7 +698,7 @@ func knnAcrossVersions(versions []*rtree.Version, k int, p Point) []Neighbor {
 		}
 		srcs = append(srcs, src{v: v, d: v.Bounds().MinDistSq(p)})
 	}
-	sort.Slice(srcs, func(i, j int) bool { return srcs[i].d < srcs[j].d })
+	slices.SortFunc(srcs, func(a, b src) int { return cmp.Compare(a.d, b.d) })
 	var best []Neighbor
 	for _, s := range srcs {
 		if len(best) >= k && s.d > best[len(best)-1].DistSq {
@@ -704,11 +707,11 @@ func knnAcrossVersions(versions []*rtree.Version, k int, p Point) []Neighbor {
 		for _, n := range s.v.NearestNeighbors(k, p) {
 			best = append(best, Neighbor{Object: n.Object, Rect: n.Rect, DistSq: n.DistSq})
 		}
-		sort.Slice(best, func(i, j int) bool {
-			if best[i].DistSq != best[j].DistSq {
-				return best[i].DistSq < best[j].DistSq
+		slices.SortFunc(best, func(a, b Neighbor) int {
+			if c := cmp.Compare(a.DistSq, b.DistSq); c != 0 {
+				return c
 			}
-			return best[i].Object < best[j].Object
+			return cmp.Compare(a.Object, b.Object)
 		})
 		if len(best) > k {
 			best = best[:k]
@@ -717,13 +720,22 @@ func knnAcrossVersions(versions []*rtree.Version, k int, p Point) []Neighbor {
 	return best
 }
 
-// BatchSearch runs a batch of range queries over one internally acquired
-// ShardedView (so every query observes one consistent cross-shard state),
-// fanned out over worker goroutines with exact merged I/O accounting.
-func (st *ShardedTree) BatchSearch(queries []Rect, opts BatchOptions) (BatchResult, error) {
-	v := st.Snapshot()
-	defer v.Close()
-	return v.BatchSearch(queries, opts)
+// Snapshot returns a pinned read view of the last committed state of every
+// shard: one pin per shard, all taken in a single acquisition that excludes
+// cross-shard batch commits (and nothing else), so the view sees all of a
+// ShardedBatch or none of it. Plain writers keep committing concurrently,
+// and each pinned epoch stays fixed for the view's lifetime regardless of
+// later splits or merges (a view pinned on a since-retired shard keeps
+// serving its frozen content). Every view must be released with Close.
+func (st *ShardedTree) Snapshot() *View {
+	st.commitMu.RLock()
+	defer st.commitMu.RUnlock()
+	d := st.dir.Load()
+	pins := make([]join.Side, len(d.shards))
+	for i, sh := range d.shards {
+		pins[i] = sh.t.pin()
+	}
+	return &View{pins: pins}
 }
 
 // Len returns the total number of indexed objects across shards.

@@ -102,7 +102,7 @@ func BenchmarkShardedIngest(b *testing.B) {
 // BenchmarkShardedReadWhileWrite measures one full-breadth range query per
 // iteration against a 4-shard tree of 20k rectangles: (a) quiesced, (b)
 // while four writers (one per shard region) commit batches continuously,
-// and (c) on a pinned ShardedView during the same write storm. Readers
+// and (c) on a pinned sharded View during the same write storm. Readers
 // never block in any configuration.
 func BenchmarkShardedReadWhileWrite(b *testing.B) {
 	base := Options{Dims: 2, MaxEntries: 16, MinEntries: 6, Universe: shardUniverse(2)}

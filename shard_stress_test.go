@@ -8,7 +8,7 @@ import (
 
 // Race stress for the sharded engine: N plain writers (one region each), one
 // cross-shard batch writer committing paired marker objects, one rebalancer
-// forcing splits and merges, and M readers on pinned ShardedViews. The
+// forcing splits and merges, and M readers on pinned sharded Views. The
 // readers verify the two consistency promises under load:
 //
 //  1. a pinned view never observes a partially committed cross-shard batch —

@@ -430,7 +430,9 @@ func TestShardedBatchSearchMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	queries := randShardQueries(rng, 50, 2)
-	res, err := st.BatchSearch(queries, BatchOptions{Workers: 4, Collect: true})
+	v := st.Snapshot()
+	defer v.Close()
+	res, err := v.BatchSearch(queries, BatchOptions{Workers: 4, Collect: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -549,9 +551,10 @@ func TestShardedJoinsEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	lv, rv := shL.Snapshot(), shR.Snapshot()
 	for _, workers := range []int{1, 4} {
 		var gotPairs []JoinPair
-		gotRes, err := IndexNestedLoopJoinSharded(shL, rightItems, JoinOptions{Workers: workers}, func(p JoinPair) { gotPairs = append(gotPairs, p) })
+		gotRes, err := IndexNestedLoopJoinView(lv, rightItems, JoinOptions{Workers: workers}, func(p JoinPair) { gotPairs = append(gotPairs, p) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -575,7 +578,7 @@ func TestShardedJoinsEquivalence(t *testing.T) {
 	}
 	for _, workers := range []int{1, 4} {
 		var gotPairs []JoinPair
-		gotRes, err := SynchronizedTreeTraversalJoinSharded(shL, shR, JoinOptions{Workers: workers}, func(p JoinPair) { gotPairs = append(gotPairs, p) })
+		gotRes, err := SynchronizedTreeTraversalJoinView(lv, rv, JoinOptions{Workers: workers}, func(p JoinPair) { gotPairs = append(gotPairs, p) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -591,14 +594,19 @@ func TestShardedJoinsEquivalence(t *testing.T) {
 		}
 	}
 
+	lv.Close()
+
 	// After forced splits, the joins still agree.
 	for i := shL.NumShards() - 1; i >= 0; i-- {
 		if err := shL.SplitShard(i); err != nil {
 			t.Fatal(err)
 		}
 	}
+	lv = shL.Snapshot()
+	defer lv.Close()
+	defer rv.Close()
 	var gotPairs []JoinPair
-	gotRes, err := SynchronizedTreeTraversalJoinSharded(shL, shR, JoinOptions{Workers: 2}, func(p JoinPair) { gotPairs = append(gotPairs, p) })
+	gotRes, err := SynchronizedTreeTraversalJoinView(lv, rv, JoinOptions{Workers: 2}, func(p JoinPair) { gotPairs = append(gotPairs, p) })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,7 +84,7 @@ func TestSnapshotIsolationUnderWriteStress(t *testing.T) {
 
 				before := tree.Snapshot()
 				defer before.Close()
-				epoch0 := before.Epoch()
+				epoch0 := before.Epochs()[0]
 
 				var stop atomic.Bool
 				var wg sync.WaitGroup
@@ -153,12 +153,12 @@ func TestSnapshotIsolationUnderWriteStress(t *testing.T) {
 							// Invariant: every committed epoch holds exactly
 							// `base` objects.
 							if got := v.Count(universe); got != base {
-								fail("reader %d: count %d at epoch %d, want %d (torn batch?)", r, got, v.Epoch(), base)
+								fail("reader %d: count %d at epoch %d, want %d (torn batch?)", r, got, v.Epochs()[0], base)
 								v.Close()
 								return
 							}
 							if got := v.Len(); got != base {
-								fail("reader %d: Len %d at epoch %d, want %d", r, got, v.Epoch(), base)
+								fail("reader %d: Len %d at epoch %d, want %d", r, got, v.Epochs()[0], base)
 								v.Close()
 								return
 							}
@@ -242,7 +242,7 @@ func TestSnapshotIsolationUnderWriteStress(t *testing.T) {
 				}
 
 				// The pre-writer view still serves its original epoch.
-				if got := before.Epoch(); got != epoch0 {
+				if got := before.Epochs()[0]; got != epoch0 {
 					t.Fatalf("pinned view changed epoch: %d -> %d", epoch0, got)
 				}
 				if got := before.Count(universe); got != base {
@@ -314,7 +314,7 @@ func TestBatchAtomicityAndViewJoins(t *testing.T) {
 	if onView.Pairs != 800 {
 		t.Fatalf("view INLJ pairs %d, want 800", onView.Pairs)
 	}
-	live, err := IndexNestedLoopJoinWith(tree, probes, JoinOptions{Workers: 2}, nil)
+	live, err := IndexNestedLoopJoin(tree, probes, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"sync"
 
-	"cbb/internal/clipindex"
 	"cbb/internal/join"
 	"cbb/internal/parallel"
 	"cbb/internal/rtree"
+	"cbb/internal/storage"
 )
 
 // This file is the public surface of the concurrency subsystem: pinned read
@@ -23,22 +23,31 @@ import (
 // frozen state of the index while writers keep committing. Writers never
 // wait for readers and readers never wait for writers.
 
-// View is a pinned, immutable snapshot of a Tree taken with Tree.Snapshot.
-// All read operations on the view observe exactly the state of the commit
-// that produced it: no later Insert, Delete, Batch.Commit, or BulkLoad is
-// visible, and no partially applied batch can ever be observed. A View is
-// safe for any number of concurrent goroutines, and its queries charge the
-// owning tree's I/O counters and buffer pool exactly like queries on the
-// Tree itself.
+// View is a pinned, immutable read view of a Tree or a ShardedTree, taken
+// with Snapshot. It pins one epoch per shard: one for a Tree, one per shard
+// for a ShardedTree, all taken in a single acquisition that is atomic with
+// respect to cross-shard batch commits. Every read operation observes
+// exactly the state of the commits that produced it: no later Insert,
+// Delete, Batch.Commit, BulkLoad, or shard split or merge is visible, and
+// no partially applied batch can ever be observed. A View is safe for any
+// number of concurrent goroutines, and its queries charge the engine's I/O
+// counters and buffer pools exactly like queries on the engine itself.
 //
-// Close releases the view's pin; keeping many views open is cheap in
+// A view with one pin (every Tree view) answers each query with a direct
+// call into its pinned epoch, so results, their order and I/O are those of
+// the Tree itself. A view with several pins fans each query out over the
+// shards: a range query skips, without charging I/O, every shard whose
+// pinned root MBB misses it and stops early when visit returns false, and
+// nearest-neighbour results are merged across shards in order of ascending
+// distance, ties broken by object id.
+//
+// Close releases the view's pins; keeping many views open is cheap in
 // memory (versions share all unchanged nodes), but pins defer the reuse of
 // file pages freed by later batches, so long-lived views on file-backed
-// trees should be closed when done.
+// engines should be closed when done.
 type View struct {
-	t    *Tree
-	v    *rtree.Version
-	snap *clipindex.Snap // nil when clipping is disabled
+	pins []join.Side
+	one  [1]join.Side // backing array of pins for a single tree's view
 	once sync.Once
 }
 
@@ -46,43 +55,117 @@ type View struct {
 // It never blocks: concurrent writers continue committing new versions while
 // the view keeps serving its epoch. Every view must be released with Close.
 func (t *Tree) Snapshot() *View {
+	v := &View{}
+	v.one[0] = t.pin()
+	v.pins = v.one[:]
+	return v
+}
+
+// pin pins the tree's last committed state as one join input: the version
+// and, for a clipped tree, the clip snapshot of the same epoch.
+func (t *Tree) pin() join.Side {
 	if t.idx != nil {
 		s := t.idx.PinSnap()
-		return &View{t: t, v: s.Version(), snap: s}
+		return join.Side{Tree: t.tree, V: s.Version(), Snap: s}
 	}
-	return &View{t: t, v: t.tree.PinSnapshot()}
+	return join.Side{Tree: t.tree, V: t.tree.PinSnapshot()}
 }
 
-// Close releases the view's pin. It is idempotent; the view must not be
+// Close releases the view's pins. It is idempotent; the view must not be
 // queried after Close.
-func (v *View) Close() { v.once.Do(v.v.Unpin) }
+func (v *View) Close() { v.once.Do(v.unpin) }
 
-// Epoch returns the commit epoch the view is pinned to. Epochs increase by
-// one per committed batch, so two views with equal epochs (of one tree) see
-// identical states.
-func (v *View) Epoch() uint64 { return v.v.Epoch() }
+func (v *View) unpin() {
+	for i := range v.pins {
+		v.pins[i].V.Unpin()
+	}
+}
 
-// Len returns the number of indexed objects at the view's epoch.
-func (v *View) Len() int { return v.v.Len() }
+// Epochs returns the pinned commit epoch of every shard, in directory order
+// (one element for a Tree). Epochs increase by one per committed batch, so
+// two views of one engine with equal epochs see identical states.
+func (v *View) Epochs() []uint64 {
+	out := make([]uint64, len(v.pins))
+	for i := range v.pins {
+		out[i] = v.pins[i].V.Epoch()
+	}
+	return out
+}
 
-// Height returns the number of tree levels at the view's epoch.
-func (v *View) Height() int { return v.v.Height() }
+// Len returns the number of indexed objects at the view's epochs.
+func (v *View) Len() int {
+	n := 0
+	for i := range v.pins {
+		n += v.pins[i].V.Len()
+	}
+	return n
+}
 
-// Bounds returns the MBB of all indexed objects at the view's epoch.
-func (v *View) Bounds() Rect { return v.v.Bounds() }
+// Height returns the number of levels of the tallest pinned tree.
+func (v *View) Height() int {
+	h := 0
+	for i := range v.pins {
+		h = max(h, v.pins[i].V.Height())
+	}
+	return h
+}
+
+// Bounds returns the MBB of all indexed objects at the view's epochs (the
+// zero Rect when empty).
+func (v *View) Bounds() Rect {
+	var out Rect
+	for i := range v.pins {
+		b := v.pins[i].V.Bounds()
+		if b.IsZero() {
+			continue
+		}
+		if out.IsZero() {
+			out = b
+			continue
+		}
+		out = out.Union(b)
+	}
+	return out
+}
 
 // Search calls visit for every object whose rectangle intersects q at the
-// view's epoch; traversal stops early when visit returns false. Semantics
+// view's epochs; traversal stops early when visit returns false. Semantics
 // match Tree.Search (clipping included) against the pinned state.
 func (v *View) Search(q Rect, visit func(ObjectID, Rect) bool) {
-	if v.snap != nil {
-		v.snap.SearchCounted(q, nil, visit)
-		return
-	}
-	v.v.SearchCounted(q, nil, visit)
+	v.search(q, nil, visit)
 }
 
-// SearchAll returns every object intersecting q at the view's epoch.
+// search is Search with node accesses charged to c (the engine's shared
+// counter when c is nil).
+func (v *View) search(q Rect, c *storage.Counter, visit func(ObjectID, Rect) bool) {
+	if len(v.pins) == 1 {
+		v.pins[0].SearchCounted(q, c, visit)
+		return
+	}
+	if q.Dims() != v.pins[0].V.Dims() {
+		return
+	}
+	cont := true
+	wrapped := func(id ObjectID, r Rect) bool {
+		if !visit(id, r) {
+			cont = false
+			return false
+		}
+		return true
+	}
+	for i := range v.pins {
+		p := &v.pins[i]
+		if p.V.Len() == 0 || !p.V.RootMBBIntersects(q) {
+			continue
+		}
+		p.SearchCounted(q, c, wrapped)
+		if !cont {
+			return
+		}
+	}
+}
+
+// SearchAll returns every object intersecting q at the view's epochs.
 func (v *View) SearchAll(q Rect) []Item {
 	var out []Item
 	v.Search(q, func(id ObjectID, r Rect) bool {
@@ -92,28 +175,36 @@ func (v *View) SearchAll(q Rect) []Item {
 	return out
 }
 
-// Count returns the number of objects intersecting q at the view's epoch.
+// Count returns the number of objects intersecting q at the view's epochs.
 func (v *View) Count(q Rect) int {
 	n := 0
 	v.Search(q, func(ObjectID, Rect) bool { n++; return true })
 	return n
 }
 
-// NearestNeighbors returns the k objects closest to p at the view's epoch,
+// NearestNeighbors returns the k objects closest to p at the view's epochs,
 // ordered by ascending distance, with the same traversal and I/O accounting
-// as Tree.NearestNeighbors.
+// as the engine's NearestNeighbors.
 func (v *View) NearestNeighbors(k int, p Point) []Neighbor {
-	raw := v.v.NearestNeighbors(k, p)
-	out := make([]Neighbor, len(raw))
-	for i, n := range raw {
-		out[i] = Neighbor{Object: n.Object, Rect: n.Rect, DistSq: n.DistSq}
+	if len(v.pins) == 1 {
+		return toNeighbors(v.pins[0].V.NearestNeighbors(k, p))
 	}
-	return out
+	if len(p) != v.pins[0].V.Dims() {
+		return nil
+	}
+	versions := make([]*rtree.Version, len(v.pins))
+	for i := range v.pins {
+		versions[i] = v.pins[i].V
+	}
+	return knnAcrossVersions(versions, k, p)
 }
 
 // BatchSearch runs a batch of range queries against the view on a pool of
-// worker goroutines, exactly like the package-level BatchSearch but with
-// every query answered at the view's epoch.
+// worker goroutines (the clipped search path when clipping is enabled),
+// every query answered at the view's epochs. Every worker charges a private
+// I/O counter and the per-worker totals are merged afterwards, so
+// BatchResult.IO is exact and the engine's cumulative IOStats advance
+// exactly as in a sequential run.
 func (v *View) BatchSearch(queries []Rect, opts BatchOptions) (BatchResult, error) {
 	if v == nil {
 		return BatchResult{}, errors.New("cbb: BatchSearch requires a view")
@@ -121,13 +212,9 @@ func (v *View) BatchSearch(queries []Rect, opts BatchOptions) (BatchResult, erro
 	popts := parallel.Options{
 		Workers: opts.Workers,
 		Collect: opts.Collect,
-		Main:    v.t.tree.Counter(),
+		Main:    v.pins[0].Tree.Counter(),
 	}
-	var searcher parallel.Searcher = v.v
-	if v.snap != nil {
-		searcher = v.snap
-	}
-	res := parallel.RunBatch(searcher, queries, popts)
+	res := parallel.RunBatch((*viewSearcher)(v), queries, popts)
 	out := BatchResult{
 		Counts:  res.Counts,
 		Workers: res.Workers,
@@ -139,9 +226,12 @@ func (v *View) BatchSearch(queries []Rect, opts BatchOptions) (BatchResult, erro
 	return out, nil
 }
 
-// side binds the view to the join engine's snapshot input.
-func (v *View) side() join.Side {
-	return join.Side{Tree: v.t.tree, V: v.v, Snap: v.snap}
+// viewSearcher is a view as the batch executor's Searcher, kept off View's
+// method set because its counter parameter is internal.
+type viewSearcher View
+
+func (s *viewSearcher) SearchCounted(q Rect, c *storage.Counter, visit func(ObjectID, Rect) bool) {
+	(*View)(s).search(q, c, visit)
 }
 
 // Batch is an open writer transaction created with Tree.Begin: mutations
