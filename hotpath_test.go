@@ -128,9 +128,8 @@ var raceEnabled bool
 
 // TestViewAllocs bounds the allocations per call of the pinned read path on
 // a 50k-object 3-D clipped RR*-tree and on a 4-shard engine holding the same
-// objects. Before Tree and ShardedTree views became one View type the counts
-// were 1/6 (pin), 0/0 (Count), 2/22 (k-NN) and 10/12 (INLJ) for a tree and
-// a 4-shard view; the bounds are today's counts.
+// objects. The bounds are the measured counts: a change to the read path
+// must not raise them.
 func TestViewAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds two 50k-object indexes")

@@ -8,7 +8,9 @@ import (
 )
 
 // JoinPair is one result of a spatial join: the ids of two intersecting
-// objects, one from each input.
+// objects, one from each input. An index nested loop join reports the
+// indexed object as Left and the probe as Right; a synchronized traversal
+// reports the left input's object as Left.
 type JoinPair struct {
 	Left  ObjectID
 	Right ObjectID
